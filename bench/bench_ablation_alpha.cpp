@@ -30,7 +30,7 @@ int main() {
 
     eval.reset_counters();
     dse::ExplorationOptions off = on;
-    off.use_alpha_termination = false;
+    off.bound = dse::TerminationBound::kNone;
     const dse::ExplorationResult without =
         dse::run_algorithm1(scenario, eval, off);
 

@@ -632,9 +632,9 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
 std::vector<std::string> check_robust_collapse(const ScenarioSpec& spec) {
   std::vector<std::string> out;
   dse::Evaluator eval(spec.settings);
-  // Γ=0, K=1 forced through the robust machinery itself (the explorers
-  // would route an inactive option set down the nominal path, which
-  // collapses by construction — this checks the aggregation too).
+  // Every explorer and hi::pareto evaluate through RobustBatch, with
+  // Γ=0, K=1 as the nominal run.  That is only sound if the fold hands
+  // back the plain evaluation bit for bit — checked here directly.
   dse::RobustBatch rb(eval, 0, dse::RobustnessOptions{});
   const std::vector<model::NetworkConfig> configs =
       spec.scenario.feasible_configs();

@@ -8,29 +8,25 @@
 // the next level is guaranteed to exceed the simulated incumbent
 // (line 5 of the paper's listing).
 //
-// Γ-robust mode (ExplorationOptions::robust active; DESIGN.md §13):
-// RunMILP proposes levels of the Γ-protected cost model, RunSim folds K
-// channel realizations through RobustBatch, feasibility is judged on
-// the worst realization, and the incumbent minimizes the robust
-// objective (worst simulated power + protection).  Termination stays
-// sound because every quantity shifts by the same cell protection: a
-// cell's robust objective is bounded below by its measured floor + its
-// protection, which is what min_remaining_floor then compares.  The
-// cuts remove Γ-protected levels, so they can never cut a level whose
-// worst-case realization would have won — that is the cut-soundness
-// argument the robust fuzz properties check.
+// RunSim is dse::RobustBatch, the one evaluation path: it folds K
+// channel realizations (K = 1 for a nominal run), feasibility is judged
+// on the worst realization, and the incumbent minimizes the robust
+// objective (worst simulated power + Γ-protection; exactly the
+// simulated power at Γ = 0).  With Γ > 0 RunMILP proposes levels of the
+// Γ-protected cost model.  Termination stays sound because every
+// quantity shifts by the same cell protection: a cell's robust
+// objective is bounded below by its measured floor + its protection,
+// which is what SoundFloor compares.  The cuts remove Γ-protected
+// levels, so they can never cut a level whose worst-case realization
+// would have won — that is the cut-soundness argument the robust fuzz
+// properties check.
 //
 // Entry point: run_algorithm1(scenario, eval, ExplorationOptions),
 // declared in dse/explorer.hpp (or Explorer::algorithm1().run(...)).
-#include <algorithm>
-#include <limits>
-#include <optional>
-
 #include "common/assert.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
 #include "dse/robustness.hpp"
-#include "exec/batch_evaluator.hpp"
 #include "model/power.hpp"
 #include "obs/timer.hpp"
 
@@ -40,89 +36,27 @@ ExplorationResult run_algorithm1(const model::Scenario& scenario,
                                  Evaluator& eval,
                                  const ExplorationOptions& opt) {
   detail::RunScope scope(ExplorerKind::kAlgorithm1, eval, opt);
+  // RunSim engine: each MILP level hands back its whole alternative-
+  // optima set at once, which batch-evaluates concurrently (bit-identical
+  // to serial; see exec::BatchEvaluator).  One batch serves every round.
+  RobustBatch batch(eval, scope.threads(), opt.robust);
   const int max_iterations = opt.budget >= 0 ? opt.budget : 10'000;
-  const bool robust = opt.robust.active();
   // The kPaperAlpha discount reasons about the nominal analytic model
   // only; there is no sound robust reading of it.
-  HI_REQUIRE(!robust || !opt.use_alpha_termination ||
-                 opt.bound == TerminationBound::kSoundFloor,
-             "robust Algorithm 1 supports only the kSoundFloor bound");
-  const int gamma = robust ? opt.robust.gamma : 0;
+  HI_REQUIRE(opt.bound != TerminationBound::kPaperAlpha ||
+                 !opt.robust.active(),
+             "robust Algorithm 1 does not support the kPaperAlpha bound");
 
-  MilpEncoding encoding(scenario, gamma);
+  MilpEncoding encoding(scenario, opt.robust.gamma);
   // Route the inner solver's milp.* counters into this run's registry
   // (whatever the caller put in opt.milp.metrics would escape the
   // snapshot delta that feeds ExplorationResult::milp_bnb_nodes).
   milp::Options milp_opt = opt.milp;
   milp_opt.metrics = &scope.registry();
+  const SoundFloor floor(scenario, eval.settings().sim, opt.robust.gamma,
+                         {opt.pdr_min});
 
   ExplorationResult res;
-  bool have_best = false;
-
-  // RunSim engine: each MILP level hands back its whole alternative-
-  // optima set at once, which batch-evaluates concurrently (bit-identical
-  // to serial; see exec::BatchEvaluator).  One pool serves every round;
-  // robust runs use the K-realization fold instead.
-  std::optional<exec::BatchEvaluator> batch;
-  std::optional<RobustBatch> rbatch;
-  if (robust) {
-    rbatch.emplace(eval, scope.threads(), opt.robust);
-  } else {
-    batch.emplace(eval, scope.threads());
-  }
-
-  // Termination bounds (Sec. 3).  The paper stops when P̄*/α(S*) exceeds
-  // the incumbent's simulated power, with α = P̄/P̄lb the loss discount.
-  // Expressed per cell of the (Tx level, routing, N) grid and made sound
-  // for the whole remaining feasible set: stop when *every* cell the
-  // MILP could still propose (analytic cost above the current level) has
-  // its floor above the incumbent's simulated power.  The floor is
-  // model::measured_power_floor_mw — delivery accounting against the
-  // simulator's own energy metering, not the analytic P̄lb (the fuzzer
-  // found P̄lb overshooting measured powers when CSMA saturation drops
-  // packets before they are transmitted).  In robust mode both sides of
-  // the comparison carry the cell's Γ-protection (adds exactly 0.0 when
-  // gamma == 0), and the floor holds for EVERY realization, so it
-  // bounds the worst one.
-  struct CellBound {
-    double cost_mw;   ///< analytic P̄ of the cell, Eq. (9), Γ-protected
-    double floor_mw;  ///< measured-power floor + protection at PDRmin
-  };
-  std::vector<CellBound> cell_bounds;
-  {
-    const net::SimParams& sp = eval.settings().sim;
-    for (int lvl = 0; lvl < scenario.chip.num_tx_levels(); ++lvl) {
-      for (const auto rt :
-           {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
-        for (int n = scenario.min_nodes; n <= scenario.max_nodes; ++n) {
-          model::Topology t;
-          for (int i = 0; i < n; ++i) t.set(i, true);
-          // Placement and MAC never enter the cost or the floor — any
-          // representative topology of the right size will do.
-          const model::NetworkConfig cell = scenario.make_config(
-              t, lvl, model::MacProtocol::kCsma, rt);
-          const double prot = model::robust_protection_mw(cell, gamma);
-          cell_bounds.push_back(CellBound{
-              model::node_power_mw(cell) + prot,
-              model::measured_power_floor_mw(cell, opt.pdr_min,
-                                             sp.duration_s, sp.gen_guard_s) +
-                  prot});
-        }
-      }
-    }
-  }
-  // Smallest floor among cells strictly above the given analytic level;
-  // +inf when none remain.
-  const auto min_remaining_floor = [&](double level_mw) {
-    double lo = std::numeric_limits<double>::infinity();
-    for (const CellBound& c : cell_bounds) {
-      if (c.cost_mw > level_mw + 1e-12) {
-        lo = std::min(lo, c.floor_mw);
-      }
-    }
-    return lo;
-  };
-
   for (res.iterations = 0; res.iterations < max_iterations;
        ++res.iterations) {
     // ---- line 3: RunMILP --------------------------------------------------
@@ -131,24 +65,21 @@ ExplorationResult run_algorithm1(const model::Scenario& scenario,
       return encoding.run_milp(milp_opt);
     }();
 
-    // ---- line 4: infeasible problem ---------------------------------------
-    if (round.candidates.empty() && !have_best) {
-      res.feasible = false;
-      break;
-    }
-    // ---- line 5: α-termination / MILP dry ---------------------------------
+    // ---- line 4: infeasible problem / MILP dry ----------------------------
     if (round.candidates.empty()) {
-      break;  // S = {} with an incumbent: return S*
+      break;  // S = {}: return S* (res.feasible says whether one exists)
     }
-    if (have_best && opt.use_alpha_termination) {
+    // ---- line 5: early termination -----------------------------------------
+    if (res.feasible) {
       bool stop = false;
       switch (opt.bound) {
+        case TerminationBound::kNone:
+          break;
         case TerminationBound::kSoundFloor:
           // Every cell at or above this level — including the one the
           // MILP just proposed — must consume more than the incumbent
           // even under maximal packet loss: no further simulation wins.
-          stop = min_remaining_floor(round.power_mw - 2.0 * 1e-12) >
-                 res.best_power_mw;
+          stop = floor.certifies(round.power_mw, 0, res.best_power_mw);
           break;
         case TerminationBound::kPaperAlpha: {
           // Paper line 5: P̄* / α(S*, PDRmin) > P̄min with the uniform
@@ -168,77 +99,31 @@ ExplorationResult run_algorithm1(const model::Scenario& scenario,
     }
 
     // ---- line 7: RunSim (the whole level concurrently) ---------------------
-    // ---- line 8: Sort (track the feasible minimum directly) ---------------
-    bool round_feasible = false;
-    model::NetworkConfig round_best;
-    double round_best_power = 0.0;
-    double round_best_pdr = 0.0;
-    double round_best_nlt = 0.0;
-    double round_best_lo = 0.0;
-    double round_best_hi = 0.0;
-    double round_best_prot = 0.0;
-    if (robust) {
-      const std::vector<RobustEvaluation> revs = [&] {
-        obs::ScopedTimer timer(&scope.registry(), "alg1.sim_s");
-        return rbatch->evaluate(round.candidates);
-      }();
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        const model::NetworkConfig& cfg = round.candidates[i];
-        const RobustEvaluation& rev = revs[i];
-        res.history.push_back(robust_record(cfg, rev));
-        if (rev.worst_pdr >= opt.pdr_min &&
-            (!round_feasible || rev.robust_power_mw < round_best_power)) {
-          round_feasible = true;
-          round_best = cfg;
-          round_best_power = rev.robust_power_mw;
-          round_best_pdr = rev.worst_pdr;
-          round_best_nlt = rev.worst_nlt_s;
-          round_best_lo = rev.pdr_lo;
-          round_best_hi = rev.pdr_hi;
-          round_best_prot = rev.protection_mw;
-        }
-      }
-    } else {
-      const std::vector<const Evaluation*> evals = [&] {
-        obs::ScopedTimer timer(&scope.registry(), "alg1.sim_s");
-        return batch->evaluate(round.candidates);
-      }();
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        const model::NetworkConfig& cfg = round.candidates[i];
-        const Evaluation& ev = *evals[i];
-        res.history.push_back(CandidateRecord{cfg, model::node_power_mw(cfg),
-                                              ev.pdr, ev.power_mw, ev.nlt_s});
-        if (ev.pdr >= opt.pdr_min &&
-            (!round_feasible || ev.power_mw < round_best_power)) {
-          round_feasible = true;
-          round_best = cfg;
-          round_best_power = ev.power_mw;
-          round_best_pdr = ev.pdr;
-          round_best_nlt = ev.nlt_s;
-        }
+    const std::vector<RobustEvaluation> revs = [&] {
+      obs::ScopedTimer timer(&scope.registry(), "alg1.sim_s");
+      return batch.evaluate(round.candidates);
+    }();
+    // ---- line 8: Sort (track the round's feasible minimum directly) ------
+    std::size_t round_best = revs.size();  // none feasible yet
+    for (std::size_t i = 0; i < revs.size(); ++i) {
+      res.history.push_back(robust_record(round.candidates[i], revs[i]));
+      if (revs[i].worst_pdr >= opt.pdr_min &&
+          (round_best == revs.size() ||
+           revs[i].robust_power_mw < revs[round_best].robust_power_mw)) {
+        round_best = i;
       }
     }
 
     // ---- lines 9-10: update the incumbent ---------------------------------
-    if (round_feasible &&
-        (!have_best || res.best_power_mw >= round_best_power)) {
-      have_best = true;
-      res.feasible = true;
-      res.best = round_best;
-      res.best_power_mw = round_best_power;
-      res.best_pdr = round_best_pdr;
-      res.best_nlt_s = round_best_nlt;
-      res.best_pdr_lo = round_best_lo;
-      res.best_pdr_hi = round_best_hi;
-      res.best_protection_mw = round_best_prot;
+    if (round_best < revs.size() &&
+        (!res.feasible ||
+         res.best_power_mw >= revs[round_best].robust_power_mw)) {
+      adopt_incumbent(res, round.candidates[round_best], revs[round_best]);
     }
 
     // ---- line 11: Update — exclude the exhausted power level --------------
     encoding.add_power_cut_above(round.power_mw);
     scope.registry().counter("alg1.cuts_added").add(1);
-    if (robust) {
-      scope.registry().counter("dse.robust_cuts").add(1);
-    }
     scope.progress(res.iterations + 1, res);
   }
 

@@ -9,20 +9,18 @@
 // PDRmin, so the annealer is pulled toward feasible low-power designs.
 // Cooling: exponential (Kirkpatrick) schedule from t_start to t_end.
 //
-// Robust mode (ExplorationOptions::robust active): every visited state
-// is folded over K channel realizations (RobustBatch); the energy runs
-// on the worst-case PDR and the robust power, so the walk is pulled
+// Every visited state is folded over K channel realizations through
+// dse::RobustBatch (K = 1, Γ = 0 for a nominal run); the energy runs on
+// the worst-case PDR and the robust power, so a robust walk is pulled
 // toward designs that are cheap and reliable under EVERY realization.
 //
 // Entry point: run_annealing(scenario, eval, ExplorationOptions),
 // declared in dse/explorer.hpp (or Explorer::annealing().run(...)).
 #include <cmath>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "dse/explorer.hpp"
 #include "dse/robustness.hpp"
-#include "model/power.hpp"
 
 namespace hi::dse {
 
@@ -96,15 +94,18 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
                  opt.t_start_mw >= opt.t_end_mw,
              "temperatures must satisfy t_start >= t_end > 0");
   detail::RunScope scope(ExplorerKind::kAnnealing, eval, opt);
+  // One state at a time: nothing to fan out, so the batch is serial.
+  RobustBatch batch(eval, 0, opt.robust);
   Rng rng(opt.seed);
-  std::optional<RobustBatch> rbatch;
-  if (opt.robust.active()) {
-    rbatch.emplace(eval, scope.threads(), opt.robust);
-  }
 
-  const auto energy = [&](double pdr, double power_mw) {
-    const double shortfall = std::max(0.0, opt.pdr_min - pdr);
-    return power_mw + opt.penalty_mw_per_pdr * shortfall;
+  ExplorationResult res;
+  // Evaluates a state, records it (and any new incumbent), returns its
+  // energy: power plus the PDR-shortfall penalty.
+  const auto visit = [&](const model::NetworkConfig& cfg) {
+    const RobustEvaluation rev = batch.evaluate_one(cfg);
+    offer_candidate(res, cfg, rev, opt.pdr_min);
+    const double shortfall = std::max(0.0, opt.pdr_min - rev.worst_pdr);
+    return rev.robust_power_mw + opt.penalty_mw_per_pdr * shortfall;
   };
 
   // Random feasible starting state.
@@ -121,42 +122,7 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
                     ? model::RoutingProtocol::kStar
                     : model::RoutingProtocol::kMesh;
 
-  ExplorationResult res;
-  model::NetworkConfig cur_cfg = to_config(scenario, cur);
-  double cur_energy = 0.0;
-  if (rbatch) {
-    const RobustEvaluation rev = rbatch->evaluate_one(cur_cfg);
-    res.history.push_back(robust_record(cur_cfg, rev));
-    if (rev.worst_pdr >= opt.pdr_min) {
-      res.feasible = true;
-      res.best = cur_cfg;
-      res.best_power_mw = rev.robust_power_mw;
-      res.best_pdr = rev.worst_pdr;
-      res.best_nlt_s = rev.worst_nlt_s;
-      res.best_pdr_lo = rev.pdr_lo;
-      res.best_pdr_hi = rev.pdr_hi;
-      res.best_protection_mw = rev.protection_mw;
-    }
-    cur_energy = energy(rev.worst_pdr, rev.robust_power_mw);
-  } else {
-    {
-      const Evaluation& ev = eval.evaluate(cur_cfg);
-      res.history.push_back(CandidateRecord{cur_cfg,
-                                            model::node_power_mw(cur_cfg),
-                                            ev.pdr, ev.power_mw, ev.nlt_s});
-      if (ev.pdr >= opt.pdr_min) {
-        res.feasible = true;
-        res.best = cur_cfg;
-        res.best_power_mw = ev.power_mw;
-        res.best_pdr = ev.pdr;
-        res.best_nlt_s = ev.nlt_s;
-      }
-    }
-    // Deliberate re-evaluate (a cache hit): keeps the nominal counter
-    // stream bit-identical to the pre-robust explorer.
-    const Evaluation& ev = eval.evaluate(cur_cfg);
-    cur_energy = energy(ev.pdr, ev.power_mw);
-  }
+  double cur_energy = visit(to_config(scenario, cur));
 
   const double decay =
       std::pow(opt.t_end_mw / opt.t_start_mw, 1.0 / steps);
@@ -166,43 +132,11 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
   for (res.iterations = 0; res.iterations < steps; ++res.iterations) {
     temperature *= decay;
     const State cand = neighbour(scenario, cur, rng);
-    const model::NetworkConfig cand_cfg = to_config(scenario, cand);
-    double cand_energy = 0.0;
-    if (rbatch) {
-      const RobustEvaluation rev = rbatch->evaluate_one(cand_cfg);
-      res.history.push_back(robust_record(cand_cfg, rev));
-      if (rev.worst_pdr >= opt.pdr_min &&
-          (!res.feasible || rev.robust_power_mw < res.best_power_mw)) {
-        res.feasible = true;
-        res.best = cand_cfg;
-        res.best_power_mw = rev.robust_power_mw;
-        res.best_pdr = rev.worst_pdr;
-        res.best_nlt_s = rev.worst_nlt_s;
-        res.best_pdr_lo = rev.pdr_lo;
-        res.best_pdr_hi = rev.pdr_hi;
-        res.best_protection_mw = rev.protection_mw;
-      }
-      cand_energy = energy(rev.worst_pdr, rev.robust_power_mw);
-    } else {
-      const Evaluation& ev = eval.evaluate(cand_cfg);
-      res.history.push_back(CandidateRecord{cand_cfg,
-                                            model::node_power_mw(cand_cfg),
-                                            ev.pdr, ev.power_mw, ev.nlt_s});
-      if (ev.pdr >= opt.pdr_min &&
-          (!res.feasible || ev.power_mw < res.best_power_mw)) {
-        res.feasible = true;
-        res.best = cand_cfg;
-        res.best_power_mw = ev.power_mw;
-        res.best_pdr = ev.pdr;
-        res.best_nlt_s = ev.nlt_s;
-      }
-      cand_energy = energy(ev.pdr, ev.power_mw);
-    }
+    const double cand_energy = visit(to_config(scenario, cand));
     const double delta = cand_energy - cur_energy;
     if (delta <= 0.0 || rng.bernoulli(std::exp(-delta / temperature))) {
       accepted.add(1);
       cur = cand;
-      cur_cfg = cand_cfg;
       cur_energy = cand_energy;
     }
     scope.progress(res.iterations + 1, res);

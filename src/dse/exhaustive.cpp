@@ -6,21 +6,17 @@
 // compared against ("87% reduction in the number of required
 // simulations") and also the generator of Fig. 3's full scatter.
 //
-// Robust mode (ExplorationOptions::robust active): the same chunked
-// sweep, evaluated through RobustBatch — feasibility on the worst of K
-// realizations, optimum by worst-case power + Γ-protection.  This is
-// the ground truth the robust Algorithm 1 property checks against.
+// The sweep evaluates through dse::RobustBatch — feasibility on the
+// worst of K realizations, optimum by worst-case power + Γ-protection
+// (K = 1, Γ = 0 for a nominal run) — so it is also the ground truth
+// the robust Algorithm 1 property checks against.
 //
 // Entry point: run_exhaustive(scenario, eval, ExplorationOptions),
 // declared in dse/explorer.hpp (or Explorer::exhaustive().run(...)).
 #include <algorithm>
-#include <optional>
 
-#include "common/assert.hpp"
 #include "dse/explorer.hpp"
 #include "dse/robustness.hpp"
-#include "exec/batch_evaluator.hpp"
-#include "model/power.hpp"
 
 namespace hi::dse {
 
@@ -31,13 +27,7 @@ ExplorationResult run_exhaustive(const model::Scenario& scenario,
 
   const std::vector<model::NetworkConfig> space = scenario.feasible_configs();
   const int threads = scope.threads();
-  std::optional<exec::BatchEvaluator> batch;
-  std::optional<RobustBatch> rbatch;
-  if (opt.robust.active()) {
-    rbatch.emplace(eval, threads, opt.robust);
-  } else {
-    batch.emplace(eval, threads);
-  }
+  RobustBatch batch(eval, threads, opt.robust);
   // Sweep the design space in chunks: wide enough to keep every worker
   // busy, small enough to bound the in-flight result memory.  Chunking
   // cannot change any outcome — results are committed in request order
@@ -53,42 +43,10 @@ ExplorationResult run_exhaustive(const model::Scenario& scenario,
     const std::vector<model::NetworkConfig> slice(
         space.begin() + static_cast<std::ptrdiff_t>(begin),
         space.begin() + static_cast<std::ptrdiff_t>(end));
-    if (rbatch) {
-      const std::vector<RobustEvaluation> revs = rbatch->evaluate(slice);
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        const model::NetworkConfig& cfg = slice[i];
-        const RobustEvaluation& rev = revs[i];
-        res.history.push_back(robust_record(cfg, rev));
-        ++res.iterations;
-        if (rev.worst_pdr >= opt.pdr_min &&
-            (!res.feasible || rev.robust_power_mw < res.best_power_mw)) {
-          res.feasible = true;
-          res.best = cfg;
-          res.best_power_mw = rev.robust_power_mw;
-          res.best_pdr = rev.worst_pdr;
-          res.best_nlt_s = rev.worst_nlt_s;
-          res.best_pdr_lo = rev.pdr_lo;
-          res.best_pdr_hi = rev.pdr_hi;
-          res.best_protection_mw = rev.protection_mw;
-        }
-      }
-    } else {
-      const std::vector<const Evaluation*> evals = batch->evaluate(slice);
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        const model::NetworkConfig& cfg = slice[i];
-        const Evaluation& ev = *evals[i];
-        res.history.push_back(CandidateRecord{cfg, model::node_power_mw(cfg),
-                                              ev.pdr, ev.power_mw, ev.nlt_s});
-        ++res.iterations;
-        if (ev.pdr >= opt.pdr_min &&
-            (!res.feasible || ev.power_mw < res.best_power_mw)) {
-          res.feasible = true;
-          res.best = cfg;
-          res.best_power_mw = ev.power_mw;
-          res.best_pdr = ev.pdr;
-          res.best_nlt_s = ev.nlt_s;
-        }
-      }
+    const std::vector<RobustEvaluation> revs = batch.evaluate(slice);
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      offer_candidate(res, slice[i], revs[i], opt.pdr_min);
+      ++res.iterations;
     }
     scope.progress(res.iterations, res);  // one heartbeat per chunk
   }

@@ -13,20 +13,21 @@ namespace hi::dse {
 
 /// One simulated design point (a row of Fig. 3's scatter).
 ///
-/// Robust runs (RobustnessOptions::active(), DESIGN.md §13) record the
-/// robust metrics in the shared fields — sim_pdr is then the WORST
+/// Every run folds K channel realizations (DESIGN.md §13), so the
+/// shared fields hold the robust metrics — sim_pdr is the WORST
 /// realization's PDR and sim_power_mw the robust objective (worst power
-/// + Γ-protection), analytic_power_mw the Γ-protected cell cost — and
-/// additionally populate the CI bounds below.  Single-realization runs
-/// leave pdr_lo == pdr_hi == 0.
+/// + Γ-protection), analytic_power_mw the Γ-protected cell cost — plus
+/// the PDR confidence interval.  A nominal run (K = 1, Γ = 0) records
+/// the plain simulated values and the degenerate CI
+/// pdr_lo == pdr_hi == sim_pdr.
 struct CandidateRecord {
   model::NetworkConfig cfg;
-  double analytic_power_mw = 0.0;  ///< Eq. (9) (+ protection when robust)
-  double sim_pdr = 0.0;            ///< Eq. (7), in [0,1]; worst-case if robust
+  double analytic_power_mw = 0.0;  ///< Eq. (9) (+ Γ-protection)
+  double sim_pdr = 0.0;            ///< Eq. (7), in [0,1]; worst realization
   double sim_power_mw = 0.0;       ///< worst lifetime-relevant node
-  double sim_nlt_s = 0.0;          ///< Eq. (4); worst-case if robust
-  double pdr_lo = 0.0;             ///< PDR CI lower bound (robust runs)
-  double pdr_hi = 0.0;             ///< PDR CI upper bound (robust runs)
+  double sim_nlt_s = 0.0;          ///< Eq. (4); worst realization
+  double pdr_lo = 0.0;             ///< PDR CI lower bound
+  double pdr_hi = 0.0;             ///< PDR CI upper bound
 };
 
 /// Outcome of one exploration run.
@@ -44,15 +45,14 @@ struct ExplorationResult {
   std::uint64_t milp_bnb_nodes = 0;
   double wall_time_s = 0.0;
   std::vector<CandidateRecord> history;  ///< every simulated candidate
-  // --- robust-mode summary (meaningful when the run's ---------------
-  // --- RobustnessOptions were active; defaults otherwise) -----------
+  // --- robustness summary (K = 1, Γ = 0 for a nominal run) ----------
   int realizations = 1;      ///< channel realizations per design point
   int gamma = 0;             ///< Γ budget the run protected against
   double best_pdr_lo = 0.0;  ///< incumbent's PDR CI lower bound
   double best_pdr_hi = 0.0;  ///< incumbent's PDR CI upper bound
-  /// Γ-protection included in best_power_mw (robust runs; 0 otherwise).
-  /// In a robust run best_power_mw is the robust objective and best_pdr
-  /// the incumbent's worst-realization PDR.
+  /// Γ-protection included in best_power_mw (0 at Γ = 0).  best_power_mw
+  /// is the robust objective and best_pdr the incumbent's
+  /// worst-realization PDR; a nominal run's CI is degenerate at best_pdr.
   double best_protection_mw = 0.0;
   /// Delta of every metric recorded during this run (dse.*, net.*,
   /// des.*, milp.*, exec.*; see DESIGN.md §8).  Always populated — when

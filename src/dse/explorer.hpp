@@ -48,6 +48,9 @@ enum class ExplorerKind {
 /// Which early-termination bound Algorithm 1 uses (line 5 of the
 /// paper's listing).
 enum class TerminationBound {
+  /// No early termination: run the MILP completely dry (the ablation
+  /// baseline the other bounds are measured against).
+  kNone,
   /// Per-cell measured-power floors (model::measured_power_floor_mw,
   /// delivery accounting against the simulator's energy metering): stop
   /// only when *every* configuration the MILP could still propose
@@ -64,6 +67,38 @@ enum class TerminationBound {
   /// the NreTx-scaled analytic estimate.  bench_alg1_vs_exhaustive
   /// measures both modes.
   kPaperAlpha,
+};
+
+/// The sound termination certificate (TerminationBound::kSoundFloor),
+/// shared by Algorithm 1 and hi::pareto's ladder.  The paper stops when
+/// P̄*/α(S*) exceeds the incumbent's simulated power; here that test is
+/// made per cell of the (Tx level, routing, N) grid and sound for the
+/// whole remaining feasible set: stop when *every* cell the MILP could
+/// still propose has its floor above the incumbent.  The floor is
+/// model::measured_power_floor_mw at the rung's PDRmin — delivery
+/// accounting against the simulator's own energy metering, not the
+/// analytic P̄lb (the fuzzer found P̄lb overshooting measured powers
+/// when CSMA saturation drops packets before they are transmitted).
+/// Costs and floors both carry the cell's Γ-protection (exactly 0.0 at
+/// Γ = 0), and the floor holds for EVERY channel realization, so it
+/// bounds the worst one.
+class SoundFloor {
+ public:
+  /// Builds the cell costs and one floor per rung of `pdr_mins` (any
+  /// order; rung indices follow it).
+  SoundFloor(const model::Scenario& scenario, const net::SimParams& sim,
+             int gamma, const std::vector<double>& pdr_mins);
+
+  /// True when every cell at or above the analytic `level_mw` — the
+  /// level just proposed included — has its rung-`rung` floor strictly
+  /// above `incumbent_mw`: no further simulation can win or tie.
+  [[nodiscard]] bool certifies(double level_mw, std::size_t rung,
+                               double incumbent_mw) const;
+
+ private:
+  std::size_t rungs_;
+  std::vector<double> cost_mw_;   ///< per cell: Γ-protected analytic P̄
+  std::vector<double> floor_mw_;  ///< per cell × rung: floor + protection
 };
 
 /// A progress heartbeat handed to ExplorationOptions::progress.
@@ -99,8 +134,6 @@ struct ExplorationOptions {
   std::uint64_t seed = 7;
 
   // --- Algorithm 1 ---------------------------------------------------
-  bool use_alpha_termination = true;  ///< ablation switch (off = run the
-                                      ///< MILP completely dry)
   TerminationBound bound = TerminationBound::kSoundFloor;
   /// Loss-discount safety factor of the kPaperAlpha bound; smaller is
   /// more conservative (more simulations).  See
@@ -124,11 +157,12 @@ struct ExplorationOptions {
   int fast_ilp_patience = 2;
 
   // --- robustness (DESIGN.md §13) ------------------------------------
-  /// Γ / multi-realization knobs consumed by every explorer.  Inactive
-  /// (the default) selects the pre-robust code paths bit-identically;
-  /// active runs judge feasibility on the worst realization and
-  /// optimize worst-case power + Γ-protection.  Robust Algorithm 1
-  /// supports only the kSoundFloor termination bound.
+  /// Γ / multi-realization knobs consumed by every explorer, which all
+  /// evaluate through one dse::RobustBatch: feasibility is judged on
+  /// the worst of K realizations and the objective is worst-case power
+  /// + Γ-protection.  The default (K = 1, Γ = 0) is the nominal run —
+  /// the fold then returns realization 0's numbers bit for bit.  Robust
+  /// Algorithm 1 rejects the kPaperAlpha bound.
   RobustnessOptions robust{};
 
   // --- observability -------------------------------------------------
@@ -204,9 +238,10 @@ class Explorer {
 
 namespace detail {
 
-/// RAII harness shared by the three run_* functions: validates the
-/// common options, resolves the active registry (see the file comment)
-/// and installs it into the evaluator, snapshots the metrics baseline,
+/// RAII harness shared by the run_* functions: validates the common
+/// options (the run's RobustBatch validates RobustnessOptions),
+/// resolves the active registry (see the file comment) and installs it
+/// into the evaluator, snapshots the metrics baseline,
 /// and on finish() fills the result's simulations / wall_time_s /
 /// metrics / milp_bnb_nodes fields from the same counters.  The
 /// destructor restores the evaluator's previous registry.

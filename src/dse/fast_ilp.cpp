@@ -14,19 +14,16 @@
 // where its speed comes from, and why it is NOT exact.  EXPERIMENTS.md
 // documents the measured optimality gap; bench_robust_dse gates it.
 //
-// Robust mode composes exactly as in Algorithm 1: Γ-protected MILP
-// levels, K-realization RunSim, worst-case feasibility.
+// RunSim and the incumbent rule are Algorithm 1's: Γ-protected MILP
+// levels, K-realization RunSim through dse::RobustBatch (K = 1, Γ = 0
+// for a nominal run), worst-case feasibility.
 //
 // Entry point: run_fast_ilp(scenario, eval, ExplorationOptions),
 // declared in dse/explorer.hpp (or Explorer::fast_ilp().run(...)).
-#include <optional>
-
 #include "common/assert.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
 #include "dse/robustness.hpp"
-#include "exec/batch_evaluator.hpp"
-#include "model/power.hpp"
 #include "obs/timer.hpp"
 
 namespace hi::dse {
@@ -35,26 +32,16 @@ ExplorationResult run_fast_ilp(const model::Scenario& scenario,
                                Evaluator& eval,
                                const ExplorationOptions& opt) {
   detail::RunScope scope(ExplorerKind::kFastIlp, eval, opt);
+  RobustBatch batch(eval, scope.threads(), opt.robust);
   const int max_iterations = opt.budget >= 0 ? opt.budget : 10'000;
   HI_REQUIRE(opt.fast_ilp_patience >= 1,
              "fast_ilp_patience must be >= 1, got " << opt.fast_ilp_patience);
-  const bool robust = opt.robust.active();
-  const int gamma = robust ? opt.robust.gamma : 0;
 
-  MilpEncoding encoding(scenario, gamma);
+  MilpEncoding encoding(scenario, opt.robust.gamma);
   milp::Options milp_opt = opt.milp;
   milp_opt.metrics = &scope.registry();
 
-  std::optional<exec::BatchEvaluator> batch;
-  std::optional<RobustBatch> rbatch;
-  if (robust) {
-    rbatch.emplace(eval, scope.threads(), opt.robust);
-  } else {
-    batch.emplace(eval, scope.threads());
-  }
-
   ExplorationResult res;
-  bool have_best = false;
   int stale_levels = 0;  // levels since the incumbent last improved
 
   for (res.iterations = 0; res.iterations < max_iterations;
@@ -64,59 +51,22 @@ ExplorationResult run_fast_ilp(const model::Scenario& scenario,
       return encoding.run_milp(milp_opt);
     }();
     if (round.candidates.empty()) {
-      res.feasible = have_best;
       break;  // MILP dry: either infeasible or the incumbent stands
     }
 
+    const std::vector<RobustEvaluation> revs = [&] {
+      obs::ScopedTimer timer(&scope.registry(), "fast_ilp.sim_s");
+      return batch.evaluate(round.candidates);
+    }();
     bool improved = false;
-    if (robust) {
-      const std::vector<RobustEvaluation> revs = [&] {
-        obs::ScopedTimer timer(&scope.registry(), "fast_ilp.sim_s");
-        return rbatch->evaluate(round.candidates);
-      }();
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        const model::NetworkConfig& cfg = round.candidates[i];
-        const RobustEvaluation& rev = revs[i];
-        res.history.push_back(robust_record(cfg, rev));
-        if (rev.worst_pdr >= opt.pdr_min &&
-            (!have_best || rev.robust_power_mw < res.best_power_mw)) {
-          have_best = true;
-          improved = true;
-          res.feasible = true;
-          res.best = cfg;
-          res.best_power_mw = rev.robust_power_mw;
-          res.best_pdr = rev.worst_pdr;
-          res.best_nlt_s = rev.worst_nlt_s;
-          res.best_pdr_lo = rev.pdr_lo;
-          res.best_pdr_hi = rev.pdr_hi;
-          res.best_protection_mw = rev.protection_mw;
-        }
-      }
-    } else {
-      const std::vector<const Evaluation*> evals = [&] {
-        obs::ScopedTimer timer(&scope.registry(), "fast_ilp.sim_s");
-        return batch->evaluate(round.candidates);
-      }();
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        const model::NetworkConfig& cfg = round.candidates[i];
-        const Evaluation& ev = *evals[i];
-        res.history.push_back(CandidateRecord{cfg, model::node_power_mw(cfg),
-                                              ev.pdr, ev.power_mw, ev.nlt_s});
-        if (ev.pdr >= opt.pdr_min &&
-            (!have_best || ev.power_mw < res.best_power_mw)) {
-          have_best = true;
-          improved = true;
-          res.feasible = true;
-          res.best = cfg;
-          res.best_power_mw = ev.power_mw;
-          res.best_pdr = ev.pdr;
-          res.best_nlt_s = ev.nlt_s;
-        }
-      }
+    for (std::size_t i = 0; i < revs.size(); ++i) {
+      improved = offer_candidate(res, round.candidates[i], revs[i],
+                                 opt.pdr_min) ||
+                 improved;
     }
 
     // The patience rule — the heuristic's entire termination logic.
-    if (have_best) {
+    if (res.feasible) {
       stale_levels = improved ? 0 : stale_levels + 1;
       if (stale_levels >= opt.fast_ilp_patience) {
         ++res.iterations;  // count the level that triggered the stop
@@ -126,9 +76,6 @@ ExplorationResult run_fast_ilp(const model::Scenario& scenario,
 
     encoding.add_power_cut_above(round.power_mw);
     scope.registry().counter("fast_ilp.cuts_added").add(1);
-    if (robust) {
-      scope.registry().counter("dse.robust_cuts").add(1);
-    }
     scope.progress(res.iterations + 1, res);
   }
 

@@ -63,12 +63,13 @@ RobustEvaluation aggregate_robust(
              "aggregate_robust: got " << k_count << " realizations, expected "
                                       << robust.realizations);
   RobustEvaluation out;
-  out.nominal = *per_realization[0];
+  out.nominal = per_realization[0];
+  const Evaluation& nominal = *out.nominal;
   out.realizations = k_count;
-  out.worst_pdr = out.nominal.pdr;
-  out.worst_power_mw = out.nominal.power_mw;
-  out.worst_nlt_s = out.nominal.nlt_s;
-  out.worst_p95_s = out.nominal.detail.latency.p95_s;
+  out.worst_pdr = nominal.pdr;
+  out.worst_power_mw = nominal.power_mw;
+  out.worst_nlt_s = nominal.nlt_s;
+  out.worst_p95_s = nominal.detail.latency.p95_s;
   double sum = 0.0;
   for (const Evaluation* ev : per_realization) {
     HI_REQUIRE(ev != nullptr, "aggregate_robust: null realization result");
@@ -78,7 +79,7 @@ RobustEvaluation aggregate_robust(
     out.worst_p95_s = std::max(out.worst_p95_s, ev->detail.latency.p95_s);
     sum += ev->pdr;
   }
-  out.mean_pdr = k_count == 1 ? out.nominal.pdr : sum / k_count;
+  out.mean_pdr = k_count == 1 ? nominal.pdr : sum / k_count;
   if (k_count >= 2) {
     // Two-pass sample variance: numerically stable and independent of
     // realization order beyond the (fixed) index order.
@@ -114,6 +115,30 @@ CandidateRecord robust_record(const model::NetworkConfig& cfg,
   return rec;
 }
 
+void adopt_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
+                     const RobustEvaluation& rev) {
+  res.feasible = true;
+  res.best = cfg;
+  res.best_power_mw = rev.robust_power_mw;
+  res.best_pdr = rev.worst_pdr;
+  res.best_nlt_s = rev.worst_nlt_s;
+  res.best_pdr_lo = rev.pdr_lo;
+  res.best_pdr_hi = rev.pdr_hi;
+  res.best_protection_mw = rev.protection_mw;
+}
+
+bool offer_candidate(ExplorationResult& res, const model::NetworkConfig& cfg,
+                     const RobustEvaluation& rev, double pdr_min) {
+  res.history.push_back(robust_record(cfg, rev));
+  const bool better =
+      rev.worst_pdr >= pdr_min &&
+      (!res.feasible || rev.robust_power_mw < res.best_power_mw);
+  if (better) {
+    adopt_incumbent(res, cfg, rev);
+  }
+  return better;
+}
+
 RobustBatch::RobustBatch(Evaluator& eval, int threads,
                          RobustnessOptions robust)
     : eval_(eval), robust_(robust) {
@@ -129,9 +154,8 @@ RobustBatch::RobustBatch(Evaluator& eval, int threads,
 std::vector<RobustEvaluation> RobustBatch::evaluate(
     const std::vector<model::NetworkConfig>& cfgs) {
   const int k_count = robust_.realizations;
-  // Realization 0 first: the nominal evaluator sees the exact request
-  // stream a non-robust run would issue, keeping its counters and cache
-  // evolution aligned with the legacy path.
+  // Realization 0 first: the nominal evaluator sees the same request
+  // stream at every K, so its counters and cache evolve identically.
   std::vector<std::vector<const Evaluation*>> per_k;
   per_k.reserve(static_cast<std::size_t>(k_count));
   for (int k = 0; k < k_count; ++k) {

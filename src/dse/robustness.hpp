@@ -19,11 +19,13 @@
 //    protection is added to the measured worst-case power, making the
 //    robust objective  max_k P_k + protection(Γ)  — monotone in Γ.
 //
-// RobustBatch is the RunSim of the robust explorers: it fans a
-// candidate batch across the K realization evaluators (each through its
-// own exec::BatchEvaluator, realization 0 first, so request order and
-// counters stay bit-identical to the nominal path at any thread count)
-// and folds the per-realization results into RobustEvaluations.
+// RobustBatch is the RunSim of every explorer and of hi::pareto: it
+// fans a candidate batch across the K realization evaluators (each
+// through its own exec::BatchEvaluator, realization 0 first) and folds
+// the per-realization results into RobustEvaluations.  A nominal run is
+// simply K = 1, Γ = 0: the fold then returns realization 0's numbers
+// bit for bit (check_robust_collapse proves it), so there is one
+// evaluation path, not a nominal and a robust one.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,10 @@
 namespace hi::dse {
 
 /// The robustness knob threaded through ExplorationOptions, hi_campaign
-/// and the store fingerprints.  The default (Γ = 0, K = 1) is inactive:
-/// every explorer then takes its pre-robust code path, bit-identically.
+/// and the store fingerprints.  The default (Γ = 0, K = 1) is the
+/// nominal run; active() only decides whether the robust summary enters
+/// fingerprints and reports, so legacy digests stay byte-identical.
+/// Every run validates it (RobustBatch's constructor).
 struct RobustnessOptions {
   int gamma = 0;          ///< deviation budget: links the adversary may degrade
   int realizations = 1;   ///< K independent channel realizations
@@ -50,7 +54,10 @@ struct RobustnessOptions {
 /// A design point's evaluation folded over K channel realizations plus
 /// the Γ-protection of its cell.
 struct RobustEvaluation {
-  Evaluation nominal;       ///< realization 0 — the legacy single-seed result
+  /// Realization 0 — the nominal single-seed result, pointing into the
+  /// evaluator cache (reference-stable; see Evaluator::evaluate), so
+  /// folding K = 1 copies nothing.
+  const Evaluation* nominal = nullptr;
   int realizations = 1;     ///< K
   double worst_pdr = 0.0;   ///< min over realizations: the feasibility metric
   double mean_pdr = 0.0;    ///< mean over realizations
@@ -82,16 +89,29 @@ struct RobustEvaluation {
     const std::vector<const Evaluation*>& per_realization,
     const RobustnessOptions& robust);
 
-/// The history row a robust run records for one design point: worst-
-/// case PDR/power/lifetime in the shared fields (sim_power_mw is the
-/// robust objective), Γ-protected analytic cost, CI bounds populated.
+/// The history row a run records for one design point: worst-case
+/// PDR/power/lifetime in the shared fields (sim_power_mw is the robust
+/// objective), Γ-protected analytic cost, CI bounds populated.
 [[nodiscard]] CandidateRecord robust_record(const model::NetworkConfig& cfg,
                                             const RobustEvaluation& rev);
+
+/// Makes (cfg, rev) the incumbent of `res`: feasible, best design,
+/// robust objective, worst-case PDR and lifetime, CI and protection.
+void adopt_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
+                     const RobustEvaluation& rev);
+
+/// Appends robust_record(cfg, rev) to res.history, then adopts (cfg,
+/// rev) when its worst-case PDR meets `pdr_min` and its robust objective
+/// strictly beats the incumbent's.  Returns whether it was adopted.
+bool offer_candidate(ExplorationResult& res, const model::NetworkConfig& cfg,
+                     const RobustEvaluation& rev, double pdr_min);
 
 /// See file comment.  Holds one BatchEvaluator per realization (so K
 /// pools of `threads` workers when threads >= 1 — sized for the K <= 8
 /// regime the CLI exposes); the evaluator must outlive the batch and
-/// must not be used directly while a call is in flight.
+/// must not be used directly while a call is in flight.  Throws
+/// hi::ModelError on invalid RobustnessOptions (Γ < 0, K < 1,
+/// confidence outside (0, 1)) or threads < 0.
 class RobustBatch {
  public:
   RobustBatch(Evaluator& eval, int threads, RobustnessOptions robust);
@@ -103,7 +123,8 @@ class RobustBatch {
   [[nodiscard]] std::vector<RobustEvaluation> evaluate(
       const std::vector<model::NetworkConfig>& cfgs);
 
-  /// Single-configuration convenience (simulated annealing's move loop).
+  /// Single-configuration convenience (simulated annealing's move loop;
+  /// build that batch serial — one state at a time has nothing to fan).
   [[nodiscard]] RobustEvaluation evaluate_one(const model::NetworkConfig& cfg);
 
   [[nodiscard]] const RobustnessOptions& options() const { return robust_; }

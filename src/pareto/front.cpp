@@ -5,19 +5,6 @@
 namespace hi::pareto {
 
 FrontPoint make_point(const model::NetworkConfig& cfg,
-                      const dse::Evaluation& ev) {
-  FrontPoint p;
-  p.cfg = cfg;
-  p.power_mw = ev.power_mw;
-  p.pdr = ev.pdr;
-  p.p95_s = ev.detail.latency.p95_s;
-  p.nlt_s = ev.nlt_s;
-  p.pdr_lo = ev.pdr;
-  p.pdr_hi = ev.pdr;
-  return p;
-}
-
-FrontPoint make_point(const model::NetworkConfig& cfg,
                       const dse::RobustEvaluation& rev) {
   FrontPoint p;
   p.cfg = cfg;

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dse/evaluator.hpp"
 #include "dse/robustness.hpp"
 #include "model/config.hpp"
 
@@ -45,11 +44,8 @@ struct FrontPoint {
   double protection_mw = 0.0;  ///< Γ-protection included in power_mw
 };
 
-/// Builds a FrontPoint from a nominal evaluation.
-[[nodiscard]] FrontPoint make_point(const model::NetworkConfig& cfg,
-                                    const dse::Evaluation& ev);
-
-/// Builds a FrontPoint from a robust evaluation (worst-case objectives).
+/// Builds a FrontPoint from a (K-realization) evaluation: worst-case
+/// objectives, which at K = 1, Γ = 0 are the nominal ones.
 [[nodiscard]] FrontPoint make_point(const model::NetworkConfig& cfg,
                                     const dse::RobustEvaluation& rev);
 

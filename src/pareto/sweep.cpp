@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <optional>
 
 #include "common/assert.hpp"
+#include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
-#include "exec/batch_evaluator.hpp"
-#include "model/power.hpp"
 
 namespace hi::pareto {
 
@@ -53,25 +50,15 @@ class MetricsScope {
   obs::MetricsRegistry* prev_ = nullptr;
 };
 
-/// Evaluates `cfgs` through the mode-appropriate batch engine and
-/// returns FrontPoints aligned with `cfgs`.
+/// Evaluates `cfgs` through `batch` and returns FrontPoints aligned
+/// with `cfgs`.
 std::vector<FrontPoint> evaluate_points(
-    const std::vector<model::NetworkConfig>& cfgs, dse::Evaluator& eval,
-    const SweepOptions& opt) {
+    const std::vector<model::NetworkConfig>& cfgs, dse::RobustBatch& batch) {
+  const std::vector<dse::RobustEvaluation> revs = batch.evaluate(cfgs);
   std::vector<FrontPoint> out;
   out.reserve(cfgs.size());
-  if (opt.robust.active()) {
-    dse::RobustBatch rbatch(eval, opt.threads, opt.robust);
-    const std::vector<dse::RobustEvaluation> revs = rbatch.evaluate(cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      out.push_back(make_point(cfgs[i], revs[i]));
-    }
-  } else {
-    exec::BatchEvaluator batch(eval, opt.threads);
-    const std::vector<const dse::Evaluation*> evals = batch.evaluate(cfgs);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      out.push_back(make_point(cfgs[i], *evals[i]));
-    }
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    out.push_back(make_point(cfgs[i], revs[i]));
   }
   return out;
 }
@@ -96,8 +83,9 @@ SweepResult exhaustive_front(const model::Scenario& scenario,
   const std::uint64_t sims0 = eval.total_simulations();
   const std::uint64_t store0 = eval.total_store_hits();
 
-  const std::vector<model::NetworkConfig> cfgs = scenario.feasible_configs();
-  const std::vector<FrontPoint> points = evaluate_points(cfgs, eval, opt);
+  dse::RobustBatch batch(eval, opt.threads, opt.robust);
+  const std::vector<FrontPoint> points =
+      evaluate_points(scenario.feasible_configs(), batch);
 
   SweepResult res;
   FrontBuilder fb(opt.front);
@@ -138,57 +126,15 @@ SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
   const std::uint64_t sims0 = eval.total_simulations();
   const std::uint64_t store0 = eval.total_store_hits();
 
-  const bool robust = opt.robust.active();
-  const int gamma = robust ? opt.robust.gamma : 0;
-  dse::MilpEncoding encoding(scenario, gamma);
+  dse::RobustBatch batch(eval, opt.threads, opt.robust);
+  dse::MilpEncoding encoding(scenario, opt.robust.gamma);
   milp::Options milp_opt = opt.milp;
   if (opt.metrics != nullptr) {
     milp_opt.metrics = opt.metrics;
   }
-
-  // Sound termination bounds, per rung: one Γ-protected analytic cost
-  // per (Tx level, routing, N) cell plus a measured-power floor at each
-  // rung's PDRmin (Algorithm 1's CellBound, vectorized over rungs —
-  // see dse/algorithm1.cpp for the soundness argument).
-  struct Cell {
-    double cost_mw;
-    std::vector<double> floor_mw;  ///< aligned with rung_bounds
-  };
-  std::vector<Cell> cells;
-  {
-    const net::SimParams& sp = eval.settings().sim;
-    for (int lvl = 0; lvl < scenario.chip.num_tx_levels(); ++lvl) {
-      for (const auto rt :
-           {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
-        for (int n = scenario.min_nodes; n <= scenario.max_nodes; ++n) {
-          model::Topology t;
-          for (int i = 0; i < n; ++i) t.set(i, true);
-          const model::NetworkConfig cell_cfg = scenario.make_config(
-              t, lvl, model::MacProtocol::kCsma, rt);
-          const double prot = model::robust_protection_mw(cell_cfg, gamma);
-          Cell cell;
-          cell.cost_mw = model::node_power_mw(cell_cfg) + prot;
-          cell.floor_mw.reserve(rung_bounds.size());
-          for (double pdr_min : rung_bounds) {
-            cell.floor_mw.push_back(
-                model::measured_power_floor_mw(cell_cfg, pdr_min,
-                                               sp.duration_s, sp.gen_guard_s) +
-                prot);
-          }
-          cells.push_back(std::move(cell));
-        }
-      }
-    }
-  }
-  const auto min_remaining_floor = [&](double level_mw, std::size_t rung) {
-    double lo = std::numeric_limits<double>::infinity();
-    for (const Cell& c : cells) {
-      if (c.cost_mw > level_mw + 1e-12) {
-        lo = std::min(lo, c.floor_mw[rung]);
-      }
-    }
-    return lo;
-  };
+  // Algorithm 1's sound certificate, one floor per rung.
+  const dse::SoundFloor floor(scenario, eval.settings().sim, opt.robust.gamma,
+                              rung_bounds);
 
   struct Rung {
     double pdr_min;
@@ -203,13 +149,6 @@ SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
   }
 
   SweepResult res;
-  std::optional<exec::BatchEvaluator> batch;
-  std::optional<dse::RobustBatch> rbatch;
-  if (robust) {
-    rbatch.emplace(eval, opt.threads, opt.robust);
-  } else {
-    batch.emplace(eval, opt.threads);
-  }
 
   int rounds = 0;
   for (; rounds < opt.max_rounds; ++rounds) {
@@ -232,8 +171,7 @@ SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
     for (std::size_t ri = 0; ri < rungs.size(); ++ri) {
       Rung& r = rungs[ri];
       if (!r.open) continue;
-      if (r.have && min_remaining_floor(round.power_mw - 2.0 * 1e-12, ri) >
-                        r.best.power_mw) {
+      if (r.have && floor.certifies(round.power_mw, ri, r.best.power_mw)) {
         r.open = false;
         if (opt.metrics != nullptr) {
           opt.metrics->counter("pareto.rungs_closed_by_floor").add(1);
@@ -246,22 +184,8 @@ SweepResult ladder_front(const model::Scenario& scenario, dse::Evaluator& eval,
       break;  // every front point certified without touching this level
     }
 
-    std::vector<FrontPoint> points;
-    if (robust) {
-      const std::vector<dse::RobustEvaluation> revs =
-          rbatch->evaluate(round.candidates);
-      points.reserve(revs.size());
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        points.push_back(make_point(round.candidates[i], revs[i]));
-      }
-    } else {
-      const std::vector<const dse::Evaluation*> evals =
-          batch->evaluate(round.candidates);
-      points.reserve(evals.size());
-      for (std::size_t i = 0; i < round.candidates.size(); ++i) {
-        points.push_back(make_point(round.candidates[i], *evals[i]));
-      }
-    }
+    const std::vector<FrontPoint> points =
+        evaluate_points(round.candidates, batch);
     res.evaluated += points.size();
 
     for (const FrontPoint& p : points) {

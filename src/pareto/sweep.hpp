@@ -25,12 +25,12 @@
 //    before the lexicographic minimum — a contradiction.  The emitted
 //    front is the non-dominated subset of the certified rung optima.
 //
-// RobustnessOptions compose: when active, candidates are folded through
-// dse::RobustBatch, objectives become (robust power, worst-case PDR,
+// RobustnessOptions compose: candidates are always folded through
+// dse::RobustBatch, objectives are (robust power, worst-case PDR,
 // worst-realization p95), the MILP proposes Γ-protected levels, and the
-// floor certificate carries the same protection — so Γ-robust fronts
-// fall out of the identical control flow.  Γ=0/K=1 is bit-identical to
-// the nominal path.
+// floor certificate (dse::SoundFloor) carries the same protection — so
+// Γ-robust fronts fall out of the identical control flow, and the
+// default Γ=0/K=1 is the nominal front.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,7 @@ struct SweepOptions {
   /// Worker threads for batch evaluation (0 = serial; results are
   /// bit-identical at any value, see exec::BatchEvaluator).
   int threads = 0;
-  /// Γ / K / confidence; inactive by default (see file comment).
+  /// Γ / K / confidence; nominal by default (see file comment).
   dse::RobustnessOptions robust{};
   /// Inner MILP solver options (ladder_front only).
   milp::Options milp{};

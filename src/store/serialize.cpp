@@ -487,7 +487,9 @@ Digest options_fingerprint(const dse::ExplorationOptions& opt,
   w.put_i32(opt.budget);
   switch (kind) {
     case dse::ExplorerKind::kAlgorithm1:
-      w.put_bool(opt.use_alpha_termination);
+      // Two fields from when "terminate early" was its own bool: kNone
+      // hashes exactly as that bool switched off did.
+      w.put_bool(opt.bound != dse::TerminationBound::kNone);
       w.put_u8(opt.bound == dse::TerminationBound::kPaperAlpha ? 1 : 0);
       w.put_f64(opt.alpha_kappa);
       break;

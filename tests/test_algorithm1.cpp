@@ -71,7 +71,7 @@ TEST(Algorithm1, AlphaTerminationPreservesOptimality) {
   const ExplorationResult a =
       run_algorithm1(small_scenario(), ev, with_alpha);
   ExplorationOptions no_alpha = with_alpha;
-  no_alpha.use_alpha_termination = false;
+  no_alpha.bound = TerminationBound::kNone;
   const ExplorationResult b = run_algorithm1(small_scenario(), ev, no_alpha);
   ASSERT_EQ(a.feasible, b.feasible);
   if (a.feasible) {

@@ -130,22 +130,27 @@ TEST(ShardMerge, AbsentShardIsSkippedAndRecorded) {
 class ShardMergeCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::tie(evals_a_, cells_a_) = build_shard("corrupt_a.store", 5, {0.5});
-    std::tie(evals_b_, cells_b_) = build_shard("corrupt_b.store", 6, {0.5});
-    healthy_b_ = read_file("corrupt_b.store");
+    // Per-test file names: ctest -j runs the cases concurrently in one
+    // working directory.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    a_ = "corrupt_a_" + name + ".store";
+    b_ = "corrupt_b_" + name + ".store";
+    out_ = "corrupt_out_" + name + ".store";
+    std::tie(evals_a_, cells_a_) = build_shard(a_, 5, {0.5});
+    std::tie(evals_b_, cells_b_) = build_shard(b_, 6, {0.5});
+    healthy_b_ = read_file(b_);
     ASSERT_GT(healthy_b_.size(), kFileHeader + 2 * kFrameHeader);
   }
   void TearDown() override {
-    std::remove("corrupt_a.store");
-    std::remove("corrupt_b.store");
-    std::remove("corrupt_out.store");
+    std::remove(a_.c_str());
+    std::remove(b_.c_str());
+    std::remove(out_.c_str());
   }
 
-  EvalStore::MergeStats merge_now() {
-    return EvalStore::merge({"corrupt_a.store", "corrupt_b.store"},
-                            "corrupt_out.store");
-  }
+  EvalStore::MergeStats merge_now() { return EvalStore::merge({a_, b_}, out_); }
 
+  std::string a_, b_, out_;
   std::uint64_t evals_a_ = 0, cells_a_ = 0, evals_b_ = 0, cells_b_ = 0;
   std::string healthy_b_;
 };
@@ -153,7 +158,7 @@ class ShardMergeCorruption : public ::testing::Test {
 TEST_F(ShardMergeCorruption, TornTailCostsOnlyTheLastFrame) {
   // Chop mid-frame: the kill -9 / power-cut artifact.  The torn frame
   // is shard B's LAST record — its pdr=0.5 cell checkpoint.
-  write_file("corrupt_b.store",
+  write_file(b_,
              healthy_b_.substr(0, healthy_b_.size() - 5));
   const auto st = merge_now();
   EXPECT_FALSE(st.clean());
@@ -163,7 +168,7 @@ TEST_F(ShardMergeCorruption, TornTailCostsOnlyTheLastFrame) {
   EXPECT_EQ(st.evals, evals_a_ + evals_b_);
   EXPECT_EQ(st.cells, cells_a_);
   EXPECT_EQ(st.shards[0].records, evals_a_ + cells_a_);
-  EXPECT_TRUE(EvalStore::audit("corrupt_out.store").clean());
+  EXPECT_TRUE(EvalStore::audit(out_).clean());
 }
 
 TEST_F(ShardMergeCorruption, BitFlippedPayloadDropsOneFrameOnly) {
@@ -171,7 +176,7 @@ TEST_F(ShardMergeCorruption, BitFlippedPayloadDropsOneFrameOnly) {
   // framing stays intact, later records survive.
   std::string damaged = healthy_b_;
   damaged[kFileHeader + kFrameHeader + 2] ^= 0x40;
-  write_file("corrupt_b.store", damaged);
+  write_file(b_, damaged);
   const auto st = merge_now();
   EXPECT_FALSE(st.clean());
   EXPECT_EQ(st.shards[1].corrupt_dropped, 1u);
@@ -181,7 +186,7 @@ TEST_F(ShardMergeCorruption, BitFlippedPayloadDropsOneFrameOnly) {
   EXPECT_EQ(st.cells, cells_a_ + cells_b_);      // checkpoints intact
   // Shard A is untouched by shard B's damage.
   EXPECT_EQ(st.shards[0].evals_added, evals_a_);
-  EXPECT_TRUE(EvalStore::audit("corrupt_out.store").clean());
+  EXPECT_TRUE(EvalStore::audit(out_).clean());
 }
 
 TEST_F(ShardMergeCorruption, DesyncedHeaderDropsTheShardTailNotTheFleet) {
@@ -189,7 +194,7 @@ TEST_F(ShardMergeCorruption, DesyncedHeaderDropsTheShardTailNotTheFleet) {
   // shard B contributes nothing — but shard A still merges in full.
   std::string damaged = healthy_b_;
   damaged[kFileHeader + 1] ^= 0x01;
-  write_file("corrupt_b.store", damaged);
+  write_file(b_, damaged);
   const auto st = merge_now();
   EXPECT_FALSE(st.clean());
   EXPECT_TRUE(st.shards[1].desynced);
@@ -198,7 +203,7 @@ TEST_F(ShardMergeCorruption, DesyncedHeaderDropsTheShardTailNotTheFleet) {
   EXPECT_EQ(st.cells, cells_a_);
   EXPECT_EQ(st.shards[0].evals_added, evals_a_);
   EXPECT_EQ(st.shards[0].cells_added, cells_a_);
-  EXPECT_TRUE(EvalStore::audit("corrupt_out.store").clean());
+  EXPECT_TRUE(EvalStore::audit(out_).clean());
 }
 
 }  // namespace

@@ -136,20 +136,22 @@ TEST(Latency, RealizationCountInvariantForNominal) {
   // must not move, and the worst-case p95 can only grow.
   const model::Scenario scenario;
   const model::NetworkConfig cfg = small_config(scenario);
-  const auto run_k = [&](int k) {
-    dse::Evaluator eval(latency_settings());
+  // One evaluator per K; they outlive the folds, which point into them.
+  dse::Evaluator eval1(latency_settings());
+  dse::Evaluator eval3(latency_settings());
+  const auto run_k = [&](dse::Evaluator& eval, int k) {
     dse::RobustnessOptions robust;
     robust.realizations = k;
     dse::RobustBatch rb(eval, 0, robust);
     return rb.evaluate_one(cfg);
   };
-  const dse::RobustEvaluation k1 = run_k(1);
-  const dse::RobustEvaluation k3 = run_k(3);
-  ASSERT_TRUE(k1.nominal.detail.latency.collected);
-  EXPECT_EQ(bits(k1.nominal.detail.latency.p95_s),
-            bits(k3.nominal.detail.latency.p95_s));
+  const dse::RobustEvaluation k1 = run_k(eval1, 1);
+  const dse::RobustEvaluation k3 = run_k(eval3, 3);
+  ASSERT_TRUE(k1.nominal->detail.latency.collected);
+  EXPECT_EQ(bits(k1.nominal->detail.latency.p95_s),
+            bits(k3.nominal->detail.latency.p95_s));
   // K=1, Γ=0 collapse: the robust latency objective IS the nominal p95.
-  EXPECT_EQ(bits(k1.worst_p95_s), bits(k1.nominal.detail.latency.p95_s));
+  EXPECT_EQ(bits(k1.worst_p95_s), bits(k1.nominal->detail.latency.p95_s));
   EXPECT_GE(k3.worst_p95_s, k1.worst_p95_s);
 }
 

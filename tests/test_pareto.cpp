@@ -18,7 +18,7 @@
 
 #include "check/scenario_gen.hpp"
 #include "dse/evaluator.hpp"
-#include "exec/batch_evaluator.hpp"
+#include "dse/robustness.hpp"
 #include "model/design_space.hpp"
 #include "pareto/front.hpp"
 #include "pareto/sweep.hpp"
@@ -126,11 +126,11 @@ std::vector<pareto::FrontPoint> evaluate_all(
     const check::ScenarioSpec& spec, dse::Evaluator& eval) {
   const std::vector<model::NetworkConfig> cfgs =
       spec.scenario.feasible_configs();
-  exec::BatchEvaluator batch(eval, 0);
-  const std::vector<const dse::Evaluation*> evs = batch.evaluate(cfgs);
+  dse::RobustBatch batch(eval, 0, dse::RobustnessOptions{});
+  const std::vector<dse::RobustEvaluation> revs = batch.evaluate(cfgs);
   std::vector<pareto::FrontPoint> out;
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    out.push_back(pareto::make_point(cfgs[i], *evs[i]));
+    out.push_back(pareto::make_point(cfgs[i], revs[i]));
   }
   return out;
 }
@@ -285,4 +285,17 @@ TEST(Sweep, LatencyOffFrontDegradesToTwoObjectives) {
 }
 
 }  // namespace
+TEST(Sweep, InvalidRobustnessOptionsAreRejected) {
+  const check::ScenarioSpec spec = check::make_scenario(11);
+  dse::Evaluator eval(spec.settings);
+  pareto::SweepOptions opt;
+  opt.robust.realizations = 0;  // inactive, yet invalid: must not run
+  EXPECT_THROW((void)pareto::ladder_front(spec.scenario, eval, opt),
+               ModelError);
+  opt.robust = dse::RobustnessOptions{-2, 1, 0.95};
+  EXPECT_THROW((void)pareto::exhaustive_front(spec.scenario, eval, opt),
+               ModelError);
+  EXPECT_EQ(eval.total_simulations(), 0u);
+}
+
 }  // namespace hi

@@ -335,6 +335,31 @@ TEST(RobustDse, FastIlpMatchesFeasibilityAndNeverBeatsTheOptimum) {
   }
 }
 
+TEST(RobustDse, InvalidOptionsAreRejectedByEveryExplorer) {
+  // Validated on every run, not only when active(): Γ < 0 or K < 1
+  // must not silently run as a nominal search.
+  const check::ScenarioSpec spec = check::make_scenario(4, 2);
+  dse::Evaluator eval(spec.settings);
+  for (const dse::RobustnessOptions& bad :
+       {dse::RobustnessOptions{-1, 1, 0.95}, dse::RobustnessOptions{0, 0, 0.95},
+        dse::RobustnessOptions{0, 1, 1.5}}) {
+    dse::ExplorationOptions opt;
+    opt.robust = bad;
+    for (const dse::Explorer& ex : dse::Explorer::all()) {
+      EXPECT_THROW((void)ex.run(spec.scenario, eval, opt), ModelError)
+          << ex.name() << " gamma " << bad.gamma << " K "
+          << bad.realizations << " confidence " << bad.confidence;
+    }
+  }
+  // The paper-alpha bound has no robust reading.
+  dse::ExplorationOptions alpha;
+  alpha.bound = dse::TerminationBound::kPaperAlpha;
+  alpha.robust.gamma = 1;
+  EXPECT_THROW((void)dse::run_algorithm1(spec.scenario, eval, alpha),
+               ModelError);
+  EXPECT_EQ(eval.total_simulations(), 0u);
+}
+
 TEST(RobustDse, FastIlpRobustModeEchoesProtectionAndCi) {
   const check::ScenarioSpec spec = check::make_scenario(4, 2);
   dse::Evaluator eval(spec.settings);
@@ -351,7 +376,7 @@ TEST(RobustDse, FastIlpRobustModeEchoesProtectionAndCi) {
     EXPECT_LE(res.best_pdr_lo, res.best_pdr_hi);
   }
   if (res.iterations >= 2) {
-    EXPECT_GE(res.metrics.counter("dse.robust_cuts"), 1u);
+    EXPECT_GE(res.metrics.counter("fast_ilp.cuts_added"), 1u);
   }
 }
 

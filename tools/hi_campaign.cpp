@@ -16,10 +16,10 @@
 //   hi_campaign --dump-scenario               print the paper's Sec. 4.1
 //                                             scenario as editable JSON
 //
-// Exit codes: 0 success (fleet: campaign complete), 2 usage error,
-// 3 fleet ran but the grid is incomplete (re-run with --resume).
+// Exit codes: 0 success (fleet: campaign complete), 2 usage error (bad
+// flag or rejected input), 3 fleet ran but the grid is incomplete
+// (re-run with --resume).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,27 +28,16 @@
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "cli_args.hpp"
 #include "obs/metrics.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_int;
+using hi::cli::parse_u64;
 
 bool parse_pdr_grid(const std::string& list, std::vector<double>& out) {
   out.clear();
@@ -104,7 +93,7 @@ int usage(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   hi::campaign::PlanSpec spec;
   hi::campaign::RunConfig cfg;
   std::string audit_path;
@@ -120,15 +109,14 @@ int main(int argc, char** argv) {
       cfg.store_path = argv[++i];
     } else if (arg == "--shard-dir" && has_value) {
       cfg.shard_dir = argv[++i];
-    } else if (arg == "--workers" && has_value && parse_u64(argv[++i], u)) {
-      cfg.workers = static_cast<int>(u);
-    } else if (arg == "--lease-ms" && has_value && parse_u64(argv[++i], u) &&
-               u > 0) {
-      cfg.lease_ms = static_cast<int>(u);
+    } else if (arg == "--workers" && has_value &&
+               parse_int(argv[++i], cfg.workers)) {
+    } else if (arg == "--lease-ms" && has_value &&
+               parse_int(argv[++i], cfg.lease_ms, 1)) {
     } else if (arg == "--no-steal") {
       cfg.steal = false;
-    } else if (arg == "--kill-slot" && has_value && parse_u64(argv[++i], u)) {
-      cfg.kill_slot = static_cast<int>(u);
+    } else if (arg == "--kill-slot" && has_value &&
+               parse_int(argv[++i], cfg.kill_slot)) {
     } else if (arg == "--kill-after-cells" && has_value &&
                parse_u64(argv[++i], u) && u > 0) {
       cfg.kill_after_cells = u;
@@ -160,23 +148,22 @@ int main(int argc, char** argv) {
       } else {
         return usage(argv[0]);
       }
-    } else if (arg == "--budget" && has_value && parse_u64(argv[++i], u)) {
-      spec.budget = static_cast<int>(u);
-    } else if (arg == "--gamma" && has_value && parse_u64(argv[++i], u)) {
-      spec.robust.gamma = static_cast<int>(u);
-    } else if (arg == "--realizations" && has_value && parse_u64(argv[++i], u) &&
-               u > 0) {
-      spec.robust.realizations = static_cast<int>(u);
+    } else if (arg == "--budget" && has_value &&
+               parse_int(argv[++i], spec.budget)) {
+    } else if (arg == "--gamma" && has_value &&
+               parse_int(argv[++i], spec.robust.gamma)) {
+    } else if (arg == "--realizations" && has_value &&
+               parse_int(argv[++i], spec.robust.realizations, 1)) {
     } else if (arg == "--confidence" && has_value &&
                parse_f64(argv[i + 1], spec.robust.confidence)) {
       ++i;
-    } else if (arg == "--threads" && has_value && parse_u64(argv[++i], u)) {
-      spec.threads = static_cast<int>(u);
+    } else if (arg == "--threads" && has_value &&
+               parse_int(argv[++i], spec.threads)) {
     } else if (arg == "--tsim" && has_value &&
                parse_f64(argv[i + 1], spec.tsim_s)) {
       ++i;
-    } else if (arg == "--runs" && has_value && parse_u64(argv[++i], u)) {
-      spec.runs = static_cast<int>(u);
+    } else if (arg == "--runs" && has_value &&
+               parse_int(argv[++i], spec.runs)) {
     } else if (arg == "--seed" && has_value && parse_u64(argv[++i], u)) {
       spec.seed = u;
     } else if (arg == "--fsync" && has_value) {
@@ -195,8 +182,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--cell-delay-ms" && has_value &&
-               parse_u64(argv[++i], u)) {
-      cfg.cell_delay_ms = static_cast<int>(u);
+               parse_int(argv[++i], cfg.cell_delay_ms)) {
     } else {
       return usage(argv[0]);
     }
@@ -266,4 +252,8 @@ int main(int argc, char** argv) {
       hi::campaign::run_single(*plan, cfg, &metrics);
   report.print(std::cout, json);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hi::cli::run_main("hi_campaign", [&] { return run(argc, argv); });
 }

@@ -11,12 +11,9 @@
 //                                       crash re-simulates zero points
 //   hi_crowd --dump-scenario            print the default crowd scenario
 //
-// Exit codes: 0 success, 2 usage error.
-#include <array>
-#include <charconv>
+// Exit codes: 0 success, 2 usage error (bad flag or rejected input).
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -24,46 +21,29 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "crowd/crowd.hpp"
 #include "store/crowd_codec.hpp"
+#include "store/json.hpp"
 #include "store/store.hpp"
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_int;
+using hi::cli::parse_u64;
+using hi::store::detail::fmt_double;
 
 bool parse_int_list(const std::string& list, std::vector<int>& out) {
   out.clear();
   std::stringstream ss(list);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    std::uint64_t v = 0;
-    if (!parse_u64(item.c_str(), v) || v < 1 || v > 64) return false;
-    out.push_back(static_cast<int>(v));
+    int v = 0;
+    if (!parse_int(item.c_str(), v, 1, 64)) return false;
+    out.push_back(v);
   }
   return !out.empty();
-}
-
-/// Shortest exact decimal rendering (round-trips through strtod).
-std::string fmt_double(double v) {
-  std::array<char, 40> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf.data(), end);
 }
 
 /// The default crowd scenario: the paper's full 10-node star network
@@ -102,7 +82,7 @@ int usage(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int bodies = 1;
   bool sweep_mode = false;
   bool dump_scenario = false;
@@ -121,9 +101,7 @@ int main(int argc, char** argv) {
     std::uint64_t u = 0;
     double f = 0.0;
     const bool has_value = i + 1 < argc;
-    if (arg == "--bodies" && has_value && parse_u64(argv[++i], u) && u >= 1 &&
-        u <= 64) {
-      bodies = static_cast<int>(u);
+    if (arg == "--bodies" && has_value && parse_int(argv[++i], bodies, 1, 64)) {
     } else if (arg == "--sweep") {
       sweep_mode = true;
     } else if (arg == "--list" && has_value) {
@@ -131,8 +109,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--spacing" && has_value && parse_f64(argv[++i], f) &&
                f > 0.0) {
       base.spacing_m = f;
-    } else if (arg == "--cols" && has_value && parse_u64(argv[++i], u)) {
-      base.cols = static_cast<int>(u);
+    } else if (arg == "--cols" && has_value && parse_int(argv[++i], base.cols)) {
     } else if (arg == "--scenario" && has_value) {
       scenario_path = argv[++i];
     } else if (arg == "--store" && has_value) {
@@ -141,19 +118,17 @@ int main(int argc, char** argv) {
       resume = true;
     } else if (arg == "--out" && has_value) {
       out_path = argv[++i];
-    } else if (arg == "--threads" && has_value && parse_u64(argv[++i], u)) {
-      opt.threads = static_cast<int>(u);
+    } else if (arg == "--threads" && has_value &&
+               parse_int(argv[++i], opt.threads)) {
     } else if (arg == "--tsim" && has_value && parse_f64(argv[++i], f) &&
                f > 0.0) {
       sim.duration_s = f;
-    } else if (arg == "--runs" && has_value && parse_u64(argv[++i], u) &&
-               u >= 1) {
-      opt.runs = static_cast<int>(u);
+    } else if (arg == "--runs" && has_value &&
+               parse_int(argv[++i], opt.runs, 1)) {
     } else if (arg == "--seed" && has_value && parse_u64(argv[++i], u)) {
       sim.seed = u;
     } else if (arg == "--kill-after-points" && has_value &&
-               parse_u64(argv[++i], u)) {
-      kill_after_points = static_cast<int>(u);
+               parse_int(argv[++i], kill_after_points)) {
     } else if (arg == "--dump-scenario") {
       dump_scenario = true;
     } else {
@@ -270,4 +245,8 @@ int main(int argc, char** argv) {
     out << os.str();
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hi::cli::run_main("hi_crowd", [&] { return run(argc, argv); });
 }

@@ -14,12 +14,9 @@
 // into per-shard stores, `hi_campaign --merge DIR`, then rerun the full
 // ladder against the merged store — every point is already paid for.
 //
-// Exit codes: 0 success, 2 usage error.
+// Exit codes: 0 success, 2 usage error (bad flag or rejected input).
 #include <csignal>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -29,28 +26,19 @@
 #include <vector>
 
 #include "check/scenario_gen.hpp"
+#include "cli_args.hpp"
 #include "model/design_space.hpp"
 #include "pareto/sweep.hpp"
+#include "store/json.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
 
 namespace {
 
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using hi::cli::parse_f64;
+using hi::cli::parse_int;
+using hi::cli::parse_u64;
+using hi::store::detail::fmt_double;
 
 bool parse_pdr_list(const std::string& list, std::vector<double>& out) {
   out.clear();
@@ -64,28 +52,11 @@ bool parse_pdr_list(const std::string& list, std::vector<double>& out) {
   return !out.empty();
 }
 
-/// Shortest exact decimal rendering (round-trips through strtod).
-std::string fmt_double(double v) {
-  std::array<char, 40> buf{};
-  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf.data(), end);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 void emit_point(std::ostream& os, const hi::pareto::FrontPoint& p,
                 const char* indent) {
-  os << indent << "{\"label\": \"" << json_escape(p.cfg.label()) << "\", "
+  std::string label;
+  hi::store::detail::put_json_string(label, p.cfg.label());
+  os << indent << "{\"label\": " << label << ", "
      << "\"design_key\": " << p.cfg.design_key() << ", "
      << "\"power_mw\": " << fmt_double(p.power_mw) << ", "
      << "\"pdr\": " << fmt_double(p.pdr) << ", "
@@ -130,7 +101,7 @@ int usage(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string mode = "ladder";
   std::string scenario_path;
   std::optional<std::uint64_t> gen_seed;
@@ -157,11 +128,10 @@ int main(int argc, char** argv) {
       gen_seed = u;
     } else if (arg == "--pdr-min" && has_value) {
       if (!parse_pdr_list(argv[++i], sweep.pdr_ladder)) return usage(argv[0]);
-    } else if (arg == "--gamma" && has_value && parse_u64(argv[++i], u)) {
-      sweep.robust.gamma = static_cast<int>(u);
+    } else if (arg == "--gamma" && has_value &&
+               parse_int(argv[++i], sweep.robust.gamma)) {
     } else if (arg == "--realizations" && has_value &&
-               parse_u64(argv[++i], u) && u >= 1) {
-      sweep.robust.realizations = static_cast<int>(u);
+               parse_int(argv[++i], sweep.robust.realizations, 1)) {
     } else if (arg == "--confidence" && has_value && parse_f64(argv[++i], f)) {
       sweep.robust.confidence = f;
     } else if (arg == "--epsilon-power" && has_value &&
@@ -179,21 +149,19 @@ int main(int argc, char** argv) {
       store_path = argv[++i];
     } else if (arg == "--out" && has_value) {
       out_path = argv[++i];
-    } else if (arg == "--threads" && has_value && parse_u64(argv[++i], u)) {
-      sweep.threads = static_cast<int>(u);
+    } else if (arg == "--threads" && has_value &&
+               parse_int(argv[++i], sweep.threads)) {
     } else if (arg == "--tsim" && has_value && parse_f64(argv[++i], f) &&
                f > 0.0) {
       settings.sim.duration_s = f;
-    } else if (arg == "--runs" && has_value && parse_u64(argv[++i], u) &&
-               u >= 1) {
-      settings.runs = static_cast<int>(u);
+    } else if (arg == "--runs" && has_value &&
+               parse_int(argv[++i], settings.runs, 1)) {
     } else if (arg == "--seed" && has_value && parse_u64(argv[++i], u)) {
       settings.sim.seed = u;
-    } else if (arg == "--max-rounds" && has_value && parse_u64(argv[++i], u)) {
-      sweep.max_rounds = static_cast<int>(u);
+    } else if (arg == "--max-rounds" && has_value &&
+               parse_int(argv[++i], sweep.max_rounds)) {
     } else if (arg == "--kill-after-rounds" && has_value &&
-               parse_u64(argv[++i], u)) {
-      kill_after_rounds = static_cast<int>(u);
+               parse_int(argv[++i], kill_after_rounds)) {
     } else if (arg == "--dump-scenario") {
       dump_scenario = true;
     } else {
@@ -325,4 +293,8 @@ int main(int argc, char** argv) {
     out << os.str();
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hi::cli::run_main("hi_pareto", [&] { return run(argc, argv); });
 }
