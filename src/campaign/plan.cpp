@@ -1,11 +1,10 @@
 #include "campaign/plan.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "check/scenario_gen.hpp"
 #include "common/assert.hpp"
+#include "store/json.hpp"
 
 namespace hi::campaign {
 
@@ -39,17 +38,15 @@ std::optional<CampaignPlan> CampaignPlan::build(const PlanSpec& spec,
   base.runs = spec.runs;
 
   for (const std::string& file : spec.scenario_files) {
-    std::ifstream in(file);
-    if (!in) {
+    const std::optional<std::string> text = store::detail::read_file(file);
+    if (!text) {
       if (error != nullptr) {
         *error = "cannot open scenario file '" + file + "'";
       }
       return std::nullopt;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
     std::string err;
-    const auto sc = store::scenario_from_json(buf.str(), &err);
+    const auto sc = store::scenario_from_json(*text, &err);
     if (!sc) {
       if (error != nullptr) {
         *error = file + ": " + err;

@@ -1,10 +1,9 @@
 #include "campaign/report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "store/json.hpp"
 #include "store/serialize.hpp"
 
 namespace hi::campaign {
@@ -13,35 +12,12 @@ namespace {
 
 constexpr std::uint8_t kWorkerReportVersion = 1;
 
+using store::detail::fmt_double;
+using store::detail::json_string;
+
 const char* bool_str(bool v) { return v ? "true" : "false"; }
 
-/// JSON has no literal for inf/nan (an infeasible cell's best power is
-/// +inf) — emit null so the document stays parseable.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream oss;
-  oss << v;
-  return oss.str();
-}
-
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::uint64_t CampaignReport::total_fresh_simulations() const {
   std::uint64_t n = 0;
@@ -68,10 +44,11 @@ std::uint64_t CampaignReport::skipped_cells() const {
 }
 
 void CampaignReport::print(std::ostream& os, bool json) const {
-  // Compatibility surface: this is the exact report hi_campaign printed
-  // before the fabric existed; tests parse these strings.
+  // Compatibility surface: this is the report hi_campaign printed
+  // before the fabric existed; tests parse these strings.  The JSON form
+  // prints doubles through store/json.hpp (shortest round-trip).
   if (json) {
-    os << "{\n  \"store\": \"" << json_escape(store_path) << "\",\n"
+    os << "{\n  \"store\": " << json_string(store_path) << ",\n"
        << "  \"recovery\": {\"records\": " << recovery.records
        << ", \"corrupt_dropped\": " << recovery.corrupt_dropped
        << ", \"tail_truncated\": " << bool_str(recovery.tail_truncated)
@@ -79,13 +56,13 @@ void CampaignReport::print(std::ostream& os, bool json) const {
        << "  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const CellReport& c = cells[i];
-      os << "    {\"scenario\": \"" << json_escape(c.scenario)
-         << "\", \"pdr_min\": " << c.pdr_min
+      os << "    {\"scenario\": " << json_string(c.scenario)
+         << ", \"pdr_min\": " << fmt_double(c.pdr_min)
          << ", \"skipped\": " << bool_str(c.skipped)
          << ", \"feasible\": " << bool_str(c.result.feasible)
-         << ", \"best\": \"" << json_escape(c.result.best.label())
-         << "\", \"best_power_mw\": " << json_number(c.result.best_power_mw)
-         << ", \"best_pdr\": " << json_number(c.result.best_pdr)
+         << ", \"best\": " << json_string(c.result.best.label())
+         << ", \"best_power_mw\": " << fmt_double(c.result.best_power_mw)
+         << ", \"best_pdr\": " << fmt_double(c.result.best_pdr)
          << ", \"simulations\": " << c.result.simulations
          << ", \"store_hits\": " << c.store_hits << "}"
          << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -190,15 +167,16 @@ double FleetReport::throughput_cells_per_s() const {
 std::string FleetReport::to_json() const {
   const WorkerReport t = totals();
   std::ostringstream os;
-  os << "{\n  \"shard_dir\": \"" << json_escape(shard_dir) << "\",\n"
-     << "  \"merged_store\": \"" << json_escape(merged_path) << "\",\n"
+  os << "{\n  \"shard_dir\": " << json_string(shard_dir) << ",\n"
+     << "  \"merged_store\": " << json_string(merged_path) << ",\n"
      << "  \"run_id\": " << run_id << ",\n"
      << "  \"workers\": " << workers << ",\n"
      << "  \"complete\": " << bool_str(complete) << ",\n"
      << "  \"planned_cells\": " << planned_cells << ",\n"
      << "  \"checkpointed_cells\": " << checkpointed_cells << ",\n"
-     << "  \"wall_s\": " << wall_s << ",\n"
-     << "  \"throughput_cells_per_s\": " << throughput_cells_per_s() << ",\n"
+     << "  \"wall_s\": " << fmt_double(wall_s) << ",\n"
+     << "  \"throughput_cells_per_s\": "
+     << fmt_double(throughput_cells_per_s()) << ",\n"
      << "  \"worker_reports\": [\n";
   for (std::size_t i = 0; i < worker_reports.size(); ++i) {
     const WorkerReport& w = worker_reports[i];
@@ -214,7 +192,7 @@ std::string FleetReport::to_json() const {
        << ", \"steals\": " << w.steals
        << ", \"recoveries\": " << w.recoveries
        << ", \"lease_expiries\": " << w.lease_expiries
-       << ", \"wall_s\": " << w.wall_s << "}"
+       << ", \"wall_s\": " << fmt_double(w.wall_s) << "}"
        << (i + 1 < worker_reports.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
@@ -225,8 +203,8 @@ std::string FleetReport::to_json() const {
      << ", \"clean\": " << bool_str(merge.clean()) << ", \"shards\": [\n";
   for (std::size_t i = 0; i < merge.shards.size(); ++i) {
     const store::EvalStore::ShardMergeStats& s = merge.shards[i];
-    os << "    {\"path\": \"" << json_escape(s.path)
-       << "\", \"present\": " << bool_str(s.present)
+    os << "    {\"path\": " << json_string(s.path)
+       << ", \"present\": " << bool_str(s.present)
        << ", \"records\": " << s.records
        << ", \"evals_added\": " << s.evals_added
        << ", \"cells_added\": " << s.cells_added

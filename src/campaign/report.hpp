@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/store.hpp"
@@ -29,7 +30,7 @@ struct CellReport {
 };
 
 /// The single-process campaign outcome; print() preserves the legacy
-/// hi_campaign output byte-for-byte.
+/// hi_campaign text output byte-for-byte.
 struct CampaignReport {
   std::string store_path;
   store::RecoveryStats recovery;
@@ -87,8 +88,5 @@ struct FleetReport {
   [[nodiscard]] std::string to_json() const;
   void print(std::ostream& os, bool json) const;
 };
-
-/// Minimal JSON string escaping shared by the report printers.
-[[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace hi::campaign

@@ -7,7 +7,7 @@
 // mutations that break the topological constraints).  Energy: simulated
 // power plus a steep penalty proportional to the PDR shortfall below
 // PDRmin, so the annealer is pulled toward feasible low-power designs.
-// Cooling: exponential (Kirkpatrick) schedule from t_start to t_end.
+// Cooling: exponential (Kirkpatrick) schedule from kTStartMw to kTEndMw.
 //
 // Every visited state is folded over K channel realizations through
 // dse::RobustBatch (K = 1, Γ = 0 for a nominal run); the energy runs on
@@ -25,6 +25,13 @@
 namespace hi::dse {
 
 namespace {
+
+// Cooling schedule and energy penalty (energy is in mW).
+// store::options_fingerprint hashes these values as constants; changing
+// one here must change it there too.
+constexpr double kTStartMw = 2.0;  ///< crosses the star->mesh barrier early
+constexpr double kTEndMw = 0.005;
+constexpr double kPenaltyMwPerPdr = 50.0;  ///< per unit of PDR shortfall
 
 /// Discrete state of the annealer.
 struct State {
@@ -90,9 +97,6 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
                                 const ExplorationOptions& opt) {
   const int steps = opt.budget >= 0 ? opt.budget : 400;
   HI_REQUIRE(steps >= 1, "need at least one step");
-  HI_REQUIRE(opt.t_start_mw > 0.0 && opt.t_end_mw > 0.0 &&
-                 opt.t_start_mw >= opt.t_end_mw,
-             "temperatures must satisfy t_start >= t_end > 0");
   detail::RunScope scope(ExplorerKind::kAnnealing, eval, opt);
   // One state at a time: nothing to fan out, so the batch is serial.
   RobustBatch batch(eval, 0, opt.robust);
@@ -105,7 +109,7 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
     const RobustEvaluation rev = batch.evaluate_one(cfg);
     offer_candidate(res, cfg, rev, opt.pdr_min);
     const double shortfall = std::max(0.0, opt.pdr_min - rev.worst_pdr);
-    return rev.robust_power_mw + opt.penalty_mw_per_pdr * shortfall;
+    return rev.robust_power_mw + kPenaltyMwPerPdr * shortfall;
   };
 
   // Random feasible starting state.
@@ -124,9 +128,8 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
 
   double cur_energy = visit(to_config(scenario, cur));
 
-  const double decay =
-      std::pow(opt.t_end_mw / opt.t_start_mw, 1.0 / steps);
-  double temperature = opt.t_start_mw;
+  const double decay = std::pow(kTEndMw / kTStartMw, 1.0 / steps);
+  double temperature = kTStartMw;
 
   obs::Counter& accepted = scope.registry().counter("sa.accepted");
   for (res.iterations = 0; res.iterations < steps; ++res.iterations) {

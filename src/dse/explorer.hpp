@@ -143,19 +143,6 @@ struct ExplorationOptions {
   /// run's active registry so milp.* counters land in the snapshot.
   milp::Options milp{};
 
-  // --- simulated annealing -------------------------------------------
-  double t_start_mw = 2.0;  ///< initial temperature (energy is in mW;
-                            ///< hot enough to cross the star->mesh
-                            ///< power barrier early on)
-  double t_end_mw = 0.005;  ///< final temperature
-  double penalty_mw_per_pdr = 50.0;  ///< infeasibility penalty slope
-
-  // --- fast ILP heuristic --------------------------------------------
-  /// MILP levels the fast-ILP explorer keeps climbing past a feasible
-  /// incumbent without improvement before it stops (>= 1).  Larger is
-  /// closer to Algorithm 1's exactness, smaller is faster.
-  int fast_ilp_patience = 2;
-
   // --- robustness (DESIGN.md §13) ------------------------------------
   /// Γ / multi-realization knobs consumed by every explorer, which all
   /// evaluate through one dse::RobustBatch: feasibility is judged on
@@ -193,9 +180,9 @@ struct ExplorationOptions {
 
 /// Runs the fast ILP-based heuristic (D'Andreagiovanni & Nardin's
 /// WBAN-design heuristic ported onto this code base): Algorithm 1's
-/// ascending-MILP-level loop, but it stops `fast_ilp_patience` levels
-/// after the feasible incumbent last improved instead of waiting for
-/// the sound power floor.  Orders of magnitude fewer simulations on
+/// ascending-MILP-level loop, but it stops two MILP levels after the
+/// feasible incumbent last improved instead of waiting for the sound
+/// power floor.  Orders of magnitude fewer simulations on
 /// deep level stacks; NOT exact — EXPERIMENTS.md documents the
 /// optimality gap against (robust) Algorithm 1.
 [[nodiscard]] ExplorationResult run_fast_ilp(const model::Scenario& scenario,

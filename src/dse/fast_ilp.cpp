@@ -6,9 +6,9 @@
 // configurations at the minimum (Γ-protected) analytic power level,
 // RunSim evaluates them, a cut removes the exhausted level — but the
 // exactness machinery is replaced by a patience rule: once a feasible
-// incumbent exists, the search stops after `fast_ilp_patience`
-// consecutive levels that fail to improve it.  The analytic cost model
-// orders levels well in practice, so the first feasible level is
+// incumbent exists, the search stops after kPatience consecutive
+// levels that fail to improve it.  The analytic cost model orders
+// levels well in practice, so the first feasible level is
 // usually optimal or near-optimal, and the heuristic skips the long
 // tail of levels Algorithm 1's sound floor cannot prune — that is
 // where its speed comes from, and why it is NOT exact.  EXPERIMENTS.md
@@ -20,7 +20,6 @@
 //
 // Entry point: run_fast_ilp(scenario, eval, ExplorationOptions),
 // declared in dse/explorer.hpp (or Explorer::fast_ilp().run(...)).
-#include "common/assert.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
 #include "dse/robustness.hpp"
@@ -28,14 +27,18 @@
 
 namespace hi::dse {
 
+/// MILP levels the search keeps climbing past a feasible incumbent
+/// without improvement before it stops.  Larger is closer to Algorithm
+/// 1's exactness, smaller is faster.  store::options_fingerprint hashes
+/// this value as a constant; changing it here must change it there too.
+constexpr int kPatience = 2;
+
 ExplorationResult run_fast_ilp(const model::Scenario& scenario,
                                Evaluator& eval,
                                const ExplorationOptions& opt) {
   detail::RunScope scope(ExplorerKind::kFastIlp, eval, opt);
   RobustBatch batch(eval, scope.threads(), opt.robust);
   const int max_iterations = opt.budget >= 0 ? opt.budget : 10'000;
-  HI_REQUIRE(opt.fast_ilp_patience >= 1,
-             "fast_ilp_patience must be >= 1, got " << opt.fast_ilp_patience);
 
   MilpEncoding encoding(scenario, opt.robust.gamma);
   milp::Options milp_opt = opt.milp;
@@ -68,7 +71,7 @@ ExplorationResult run_fast_ilp(const model::Scenario& scenario,
     // The patience rule — the heuristic's entire termination logic.
     if (res.feasible) {
       stale_levels = improved ? 0 : stale_levels + 1;
-      if (stale_levels >= opt.fast_ilp_patience) {
+      if (stale_levels >= kPatience) {
         ++res.iterations;  // count the level that triggered the stop
         break;
       }

@@ -1,8 +1,6 @@
 #include "dse/report.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -79,34 +77,6 @@ std::string summarize(const ExplorationResult& result, double pdr_min) {
   append_robustness(result, oss);
   append_metrics(result, oss);
   return oss.str();
-}
-
-std::vector<CandidateRecord> pareto_front(
-    const std::vector<CandidateRecord>& history) {
-  // Deduplicate by design key (annealing histories revisit states).
-  std::vector<CandidateRecord> pts;
-  std::unordered_set<std::uint64_t> seen;
-  for (const CandidateRecord& r : history) {
-    if (seen.insert(r.cfg.design_key()).second) {
-      pts.push_back(r);
-    }
-  }
-  // Sweep by descending PDR; a point survives if its NLT beats every
-  // higher-PDR point's NLT.
-  std::sort(pts.begin(), pts.end(), [](const auto& a, const auto& b) {
-    if (a.sim_pdr != b.sim_pdr) return a.sim_pdr > b.sim_pdr;
-    return a.sim_nlt_s > b.sim_nlt_s;
-  });
-  std::vector<CandidateRecord> front;
-  double best_nlt = -1.0;
-  for (const CandidateRecord& r : pts) {
-    if (r.sim_nlt_s > best_nlt) {
-      front.push_back(r);
-      best_nlt = r.sim_nlt_s;
-    }
-  }
-  std::reverse(front.begin(), front.end());  // ascending PDR
-  return front;
 }
 
 }  // namespace hi::dse

@@ -23,12 +23,4 @@ void write_history_csv(const ExplorationResult& result, std::ostream& os);
 [[nodiscard]] std::string summarize(const ExplorationResult& result,
                                     double pdr_min);
 
-/// Extracts the Pareto front of the (maximize PDR, maximize NLT)
-/// trade-off from an exploration history — the staircase a designer
-/// actually chooses from in Fig. 3.  Duplicate design points are
-/// collapsed; the result is sorted by ascending PDR (and therefore
-/// descending NLT).
-[[nodiscard]] std::vector<CandidateRecord> pareto_front(
-    const std::vector<CandidateRecord>& history);
-
 }  // namespace hi::dse

@@ -6,9 +6,11 @@
 // true/false/null — exactly what the writers emit.  Doubles are printed
 // shortest-round-trip (std::to_chars) and parsed with strtod, so a
 // serialize → parse → serialize cycle is a fixed point and fingerprints
-// computed over parsed values survive the trip.  Lives in
-// hi::store::detail: tools may use it, but it is not a supported public
-// parsing API.
+// computed over parsed values survive the trip; non-finite doubles
+// (an infeasible cell's best power is +inf) print as null.  The parser
+// caps nesting depth, so a hostile file fails cleanly instead of
+// overflowing the stack.  Lives in hi::store::detail: tools may use it,
+// but it is not a supported public parsing API.
 #pragma once
 
 #include <algorithm>
@@ -17,8 +19,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,15 +31,19 @@
 namespace hi::store::detail {
 
 /// Shortest exact decimal rendering of a double (std::to_chars), so the
-/// JSON form round-trips bit for bit through strtod.
+/// JSON form round-trips bit for bit through strtod; null when the
+/// double is not finite.
 inline std::string fmt_double(double v) {
+  if (!std::isfinite(v)) return "null";
   std::array<char, 40> buf{};
   const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
   if (ec != std::errc{}) return "0";
   return std::string(buf.data(), end);
 }
 
-inline void put_json_string(std::string& out, std::string_view s) {
+/// `s` as a quoted JSON string literal.
+inline std::string json_string(std::string_view s) {
+  std::string out;
   out.push_back('"');
   for (char c : s) {
     switch (c) {
@@ -54,6 +62,17 @@ inline void put_json_string(std::string& out, std::string_view s) {
     }
   }
   out.push_back('"');
+  return out;
+}
+
+/// The whole content of the file at `path`, or nullopt when it cannot
+/// be opened.  Every JSON document the tools read comes through here.
+inline std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 /// Parsed JSON tree node; see the file comment for the supported grammar.
@@ -76,6 +95,10 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted: far above anything the
+  /// writers emit, far below what the parser's recursion could survive.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(std::string_view s) : s_(s) {}
 
   std::optional<JsonValue> parse(std::string* error) {
@@ -119,8 +142,16 @@ class JsonParser {
       return std::nullopt;
     }
     const char c = s_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return string_value();
     if (c == 't' || c == 'f' || c == 'n') return keyword();
     return number();
@@ -268,6 +299,7 @@ class JsonParser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
@@ -297,7 +329,7 @@ class ObjectReader {
   int integer(const JsonValue& obj, std::string_view key) {
     const double d = num(obj, key);
     if (failed_) return 0;
-    if (d != std::floor(d) || std::abs(d) > 1e9) {
+    if (!is_int(d)) {
       fail("field '" + std::string(key) + "' must be an integer");
       return 0;
     }
@@ -332,8 +364,7 @@ class ObjectReader {
       return out;
     }
     for (const JsonValue& item : v->items) {
-      if (item.kind != JsonValue::Kind::kNumber ||
-          item.number != std::floor(item.number)) {
+      if (item.kind != JsonValue::Kind::kNumber || !is_int(item.number)) {
         fail("field '" + std::string(key) + "' must hold integers");
         return out;
       }
@@ -360,6 +391,11 @@ class ObjectReader {
   }
 
  private:
+  /// An integral double that casts to int without overflow.
+  static bool is_int(double d) {
+    return d == std::floor(d) && std::abs(d) <= 1e9;
+  }
+
   std::string* error_;
   bool failed_ = false;
 };

@@ -494,15 +494,18 @@ Digest options_fingerprint(const dse::ExplorationOptions& opt,
       w.put_f64(opt.alpha_kappa);
       break;
     case dse::ExplorerKind::kAnnealing:
+      // dse/annealing.cpp's constant start/end temperatures and penalty
+      // slope: hashed so existing store keys stay valid.
       w.put_u64(opt.seed);
-      w.put_f64(opt.t_start_mw);
-      w.put_f64(opt.t_end_mw);
-      w.put_f64(opt.penalty_mw_per_pdr);
+      w.put_f64(2.0);
+      w.put_f64(0.005);
+      w.put_f64(50.0);
       break;
     case dse::ExplorerKind::kExhaustive:
       break;
     case dse::ExplorerKind::kFastIlp:
-      w.put_i32(opt.fast_ilp_patience);
+      // dse/fast_ilp.cpp's constant patience, likewise.
+      w.put_i32(2);
       break;
   }
   if (opt.robust.active()) {
@@ -526,7 +529,7 @@ namespace {
 using detail::JsonParser;
 using detail::JsonValue;
 using detail::fmt_double;
-using detail::put_json_string;
+using detail::json_string;
 using ScenarioBuilder = detail::ObjectReader;
 
 }  // namespace
@@ -535,7 +538,7 @@ std::string scenario_to_json(const model::Scenario& sc) {
   std::string out;
   out += "{\n  \"format\": \"hi-scenario-v1\",\n";
   out += "  \"chip\": {\n    \"name\": ";
-  put_json_string(out, sc.chip.name);
+  out += json_string(sc.chip.name);
   out += ",\n    \"fc_hz\": " + fmt_double(sc.chip.fc_hz);
   out += ",\n    \"bit_rate_bps\": " + fmt_double(sc.chip.bit_rate_bps);
   out += ",\n    \"rx_dbm\": " + fmt_double(sc.chip.rx_dbm);
@@ -571,7 +574,7 @@ std::string scenario_to_json(const model::Scenario& sc) {
       out += std::to_string(sc.coverage[i].locations[j]);
     }
     out += "], \"reason\": ";
-    put_json_string(out, sc.coverage[i].reason);
+    out += json_string(sc.coverage[i].reason);
     out += "}";
   }
   if (!sc.coverage.empty()) out += "\n  ";
@@ -581,7 +584,7 @@ std::string scenario_to_json(const model::Scenario& sc) {
     out += "\n    {\"if_used\": " + std::to_string(sc.dependencies[i].if_used) +
            ", \"then_used\": " + std::to_string(sc.dependencies[i].then_used) +
            ", \"reason\": ";
-    put_json_string(out, sc.dependencies[i].reason);
+    out += json_string(sc.dependencies[i].reason);
     out += "}";
   }
   if (!sc.dependencies.empty()) out += "\n  ";

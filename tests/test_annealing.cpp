@@ -116,10 +116,6 @@ TEST(Annealing, RejectsBadOptions) {
   opt.pdr_min = 0.5;
   opt.budget = 0;
   EXPECT_THROW((void)run_annealing(small_scenario(), ev, opt), ModelError);
-  opt.budget = 10;
-  opt.t_start_mw = 0.1;
-  opt.t_end_mw = 0.5;  // end above start
-  EXPECT_THROW((void)run_annealing(small_scenario(), ev, opt), ModelError);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Units for the hi::campaign library: plan resolution (grid, tokens,
 // precomputed cell keys), the lease-based claim protocol (acquire /
 // held / steal / recover / done, expiry accounting), the worker-report
-// pipe codec, and run_single() as the library-level campaign loop
-// (resume must serve checkpoints with zero fresh simulations).
+// pipe codec, the JSON report's number format, and run_single() as the
+// library-level campaign loop (resume must serve checkpoints with zero
+// fresh simulations).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "store/json.hpp"
 #include "store/serialize.hpp"
 
 namespace {
@@ -186,6 +190,34 @@ TEST(WorkerReportTest, PipeCodecRoundTripsAndRejectsTruncation) {
   EXPECT_FALSE(
       campaign::WorkerReport::decode(bytes.substr(0, bytes.size() - 3), &out));
   EXPECT_FALSE(campaign::WorkerReport::decode(bytes + "x", &out));
+}
+
+TEST(CampaignReportTest, JsonDoublesRoundTripAndInfinityIsNull) {
+  campaign::CampaignReport rep;
+  rep.store_path = "a \"quoted\" path";
+  campaign::CellReport feasible;
+  feasible.scenario = "paper-4.1";
+  feasible.pdr_min = 0.9;
+  feasible.result.feasible = true;
+  feasible.result.best_power_mw = 0.3710644123722949;
+  feasible.result.best_pdr = 0.875;
+  campaign::CellReport infeasible = feasible;
+  infeasible.result.feasible = false;
+  infeasible.result.best_power_mw = std::numeric_limits<double>::infinity();
+  rep.cells = {feasible, infeasible};
+  std::ostringstream os;
+  rep.print(os, /*json=*/true);
+  const std::string json = os.str();
+
+  std::string err;
+  EXPECT_TRUE(store::detail::JsonParser(json).parse(&err).has_value()) << err;
+  EXPECT_NE(json.find("\"best_power_mw\": 0.3710644123722949"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"best_power_mw\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"store\": \"a \\\"quoted\\\" path\""),
+            std::string::npos)
+      << json;
 }
 
 TEST(RunSingleTest, ResumeServesCheckpointsWithZeroFreshSimulations) {

@@ -57,39 +57,6 @@ TEST(Report, SummaryFeasible) {
   EXPECT_NE(s.find("1.234 mW"), std::string::npos);
 }
 
-TEST(Report, ParetoFrontIsNonDominatedStaircase) {
-  const ExplorationResult res = tiny_result();
-  const std::vector<CandidateRecord> front = pareto_front(res.history);
-  ASSERT_GE(front.size(), 2u);
-  for (std::size_t i = 1; i < front.size(); ++i) {
-    // Ascending PDR, strictly descending NLT.
-    EXPECT_GE(front[i].sim_pdr, front[i - 1].sim_pdr);
-    EXPECT_LT(front[i].sim_nlt_s, front[i - 1].sim_nlt_s);
-  }
-  // No history point dominates a front point.
-  for (const CandidateRecord& f : front) {
-    for (const CandidateRecord& h : res.history) {
-      EXPECT_FALSE(h.sim_pdr > f.sim_pdr && h.sim_nlt_s > f.sim_nlt_s)
-          << h.cfg.label() << " dominates " << f.cfg.label();
-    }
-  }
-}
-
-TEST(Report, ParetoFrontCollapsesDuplicates) {
-  ExplorationResult res = tiny_result();
-  // Duplicate the whole history: the front must not change size.
-  const std::vector<CandidateRecord> once = pareto_front(res.history);
-  auto twice_hist = res.history;
-  twice_hist.insert(twice_hist.end(), res.history.begin(),
-                    res.history.end());
-  const std::vector<CandidateRecord> twice = pareto_front(twice_hist);
-  EXPECT_EQ(once.size(), twice.size());
-}
-
-TEST(Report, ParetoFrontOfEmptyHistoryIsEmpty) {
-  EXPECT_TRUE(pareto_front({}).empty());
-}
-
 TEST(Report, SummaryInfeasible) {
   ExplorationResult res;
   res.feasible = false;

@@ -222,6 +222,21 @@ TEST(StoreSerialize, ScenarioJsonRejectsUnknownKeysAndGarbage) {
   json.replace(json.find(key), key.size(), "\"max_hopz\"");
   EXPECT_FALSE(store::scenario_from_json(json, &err).has_value());
   EXPECT_NE(err.find("max_hopz"), std::string::npos);
+
+  // Deep nesting is a clean parse error, not a stack overflow.
+  const std::string deep =
+      std::string(200'000, '[') + std::string(200'000, ']');
+  EXPECT_FALSE(store::scenario_from_json(deep, &err).has_value());
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+  // An integral array item beyond int range is rejected, not cast.
+  json = store::scenario_to_json(model::Scenario{});
+  const std::size_t at = json.find("\"required_locations\": [");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t open = json.find('[', at);
+  json.replace(open, json.find(']', open) - open + 1, "[2147483648]");
+  EXPECT_FALSE(store::scenario_from_json(json, &err).has_value());
+  EXPECT_NE(err.find("required_locations"), std::string::npos) << err;
 }
 
 }  // namespace

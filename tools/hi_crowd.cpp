@@ -1,20 +1,13 @@
 // hi_crowd — crowd (multi-body) simulation runner (DESIGN.md §15).  A
 // thin argv shim over hi::crowd: the simulation and sweep logic live in
 // src/crowd/, this binary parses flags, wires an optional durable
-// hi::store, and emits the sweep as versioned `hi-crowd/v1` JSON.
-//
-//   hi_crowd --bodies 8 --sweep         PDR vs crowd size, M = 1..8
-//   hi_crowd --bodies 4                 one point, M = 4
-//   hi_crowd --list 1,2,4,8             explicit body-count list
-//   hi_crowd --store FILE --resume ...  durable: completed points are
-//                                       served from FILE; a rerun after a
-//                                       crash re-simulates zero points
-//   hi_crowd --dump-scenario            print the default crowd scenario
+// hi::store (a rerun after a crash re-simulates zero points), and emits
+// the sweep as versioned `hi-crowd/v1` JSON.  `hi_crowd --bogus` prints
+// the flags.
 //
 // Exit codes: 0 success, 2 usage error (bad flag or rejected input).
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -27,62 +20,10 @@
 #include "store/json.hpp"
 #include "store/store.hpp"
 
-namespace {
-
-using hi::cli::parse_f64;
-using hi::cli::parse_int;
-using hi::cli::parse_u64;
-using hi::store::detail::fmt_double;
-
-bool parse_int_list(const std::string& list, std::vector<int>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    int v = 0;
-    if (!parse_int(item.c_str(), v, 1, 64)) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
-
-/// The default crowd scenario: the paper's full 10-node star network
-/// replicated on a grid, one meter apart.
-hi::model::CrowdScenario default_scenario() {
-  hi::model::CrowdScenario sc;
-  sc.cfg.topology = hi::model::Topology::from_mask(0x3FF);
-  return sc;
-}
-
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "       " << argv0 << " --dump-scenario\n"
-      << "\n"
-      << "options:\n"
-      << "  --bodies M        crowd size (default 1)\n"
-      << "  --sweep           sweep M = 1..bodies instead of one point\n"
-      << "  --list M1,M2,...  explicit body-count list (overrides --sweep)\n"
-      << "  --spacing M       grid pitch in meters (default 1)\n"
-      << "  --cols N          grid columns (default 0 = square-ish)\n"
-      << "  --scenario FILE   crowd scenario JSON (see --dump-scenario)\n"
-      << "  --store FILE      durable evaluation store (write-through)\n"
-      << "  --resume          require --store; assert-friendly alias — a\n"
-      << "                    warm store serves completed points as hits\n"
-      << "  --out FILE        write the JSON report to FILE (default stdout)\n"
-      << "  --threads N       worker threads (default 0 = serial)\n"
-      << "  --tsim SEC        simulated seconds per run (default 60)\n"
-      << "  --runs N          replications per point (default 3)\n"
-      << "  --seed N          experiment seed root (default 1)\n"
-      << "  --kill-after-points N  SIGKILL self after N completed points\n"
-      << "                    (crash-injection test hook; the store is\n"
-      << "                    synced after every point first)\n";
-  return 2;
-}
-
-}  // namespace
-
 int run(int argc, char** argv) {
+  using hi::store::detail::fmt_double;
+  namespace cli = hi::cli;
+  namespace flags = hi::cli::flags;
   int bodies = 1;
   bool sweep_mode = false;
   bool dump_scenario = false;
@@ -90,50 +31,42 @@ int run(int argc, char** argv) {
   std::vector<int> list;
   std::string scenario_path, store_path, out_path;
   int kill_after_points = -1;
-  hi::model::CrowdScenario base = default_scenario();
+  // Default: the paper's full 10-node star network on a 1 m grid.
+  hi::model::CrowdScenario base;
+  base.cfg.topology = hi::model::Topology::from_mask(0x3FF);
   hi::net::SimParams sim;
   sim.duration_s = 60.0;
   hi::crowd::SweepOptions opt;
-  opt.runs = 3;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::uint64_t u = 0;
-    double f = 0.0;
-    const bool has_value = i + 1 < argc;
-    if (arg == "--bodies" && has_value && parse_int(argv[++i], bodies, 1, 64)) {
-    } else if (arg == "--sweep") {
-      sweep_mode = true;
-    } else if (arg == "--list" && has_value) {
-      if (!parse_int_list(argv[++i], list)) return usage(argv[0]);
-    } else if (arg == "--spacing" && has_value && parse_f64(argv[++i], f) &&
-               f > 0.0) {
-      base.spacing_m = f;
-    } else if (arg == "--cols" && has_value && parse_int(argv[++i], base.cols)) {
-    } else if (arg == "--scenario" && has_value) {
-      scenario_path = argv[++i];
-    } else if (arg == "--store" && has_value) {
-      store_path = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (arg == "--out" && has_value) {
-      out_path = argv[++i];
-    } else if (arg == "--threads" && has_value &&
-               parse_int(argv[++i], opt.threads)) {
-    } else if (arg == "--tsim" && has_value && parse_f64(argv[++i], f) &&
-               f > 0.0) {
-      sim.duration_s = f;
-    } else if (arg == "--runs" && has_value &&
-               parse_int(argv[++i], opt.runs, 1)) {
-    } else if (arg == "--seed" && has_value && parse_u64(argv[++i], u)) {
-      sim.seed = u;
-    } else if (arg == "--kill-after-points" && has_value &&
-               parse_int(argv[++i], kill_after_points)) {
-    } else if (arg == "--dump-scenario") {
-      dump_scenario = true;
-    } else {
-      return usage(argv[0]);
-    }
+  cli::FlagTable table({"[options]", "--dump-scenario"});
+  table.section("options")
+      .add({"--bodies", "M", "crowd size",
+            cli::number(bodies, cli::in_range(1, 64))})
+      .add({"--sweep", "", "sweep M = 1..bodies instead of one point",
+            cli::on(sweep_mode)})
+      .add({"--list", "M1,M2,...", "explicit body counts (overrides --sweep)",
+            cli::list(list, cli::in_range(1, 64))})
+      .add({"--spacing", "M", "grid pitch in meters",
+            cli::number<double>(base.spacing_m, cli::positive)})
+      .add({"--cols", "N", "grid columns, 0 = square-ish",
+            cli::number(base.cols, cli::at_least(0))})
+      .add(flags::scenario(cli::text(scenario_path)))
+      .add(flags::store(store_path))
+      .add({"--resume", "", "require --store (a warm store serves\n"
+                            "completed points as hits)",
+            cli::on(resume)})
+      .add(flags::out(out_path))
+      .add(flags::threads(opt.threads))
+      .add(flags::tsim(sim.duration_s))
+      .add(flags::runs(opt.runs))
+      .add(flags::seed(sim.seed))
+      .add({"--kill-after-points", "N",
+            "SIGKILL self after N completed points, the\n"
+            "store synced first (crash test hook)",
+            cli::number(kill_after_points, cli::at_least(0))})
+      .add(flags::dump_scenario(dump_scenario));
+  if (!table.parse(argc, argv)) {
+    return table.usage();
   }
   if (resume && store_path.empty()) {
     std::cerr << "hi_crowd: --resume requires --store\n";
@@ -142,15 +75,13 @@ int run(int argc, char** argv) {
 
   // ---- resolve the scenario ----------------------------------------------
   if (!scenario_path.empty()) {
-    std::ifstream in(scenario_path);
-    if (!in) {
+    const auto text = hi::store::detail::read_file(scenario_path);
+    if (!text.has_value()) {
       std::cerr << "hi_crowd: cannot read " << scenario_path << "\n";
       return 2;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
     std::string err;
-    const auto parsed = hi::store::crowd_scenario_from_json(buf.str(), &err);
+    const auto parsed = hi::store::crowd_scenario_from_json(*text, &err);
     if (!parsed.has_value()) {
       std::cerr << "hi_crowd: invalid crowd scenario JSON in " << scenario_path
                 << ": " << err << "\n";
@@ -234,17 +165,7 @@ int run(int argc, char** argv) {
   os << "  \"complete\": true\n";
   os << "}\n";
 
-  if (out_path.empty()) {
-    std::cout << os.str();
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "hi_crowd: cannot write " << out_path << "\n";
-      return 2;
-    }
-    out << os.str();
-  }
-  return 0;
+  return hi::cli::write_report("hi_crowd", out_path, os.str());
 }
 
 int main(int argc, char** argv) {

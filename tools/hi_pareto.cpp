@@ -1,14 +1,8 @@
 // hi_pareto — Pareto frontier runner (DESIGN.md §14).  A thin argv shim
 // over hi::pareto: sweep logic lives in src/pareto/, this binary parses
-// flags, wires an optional warm hi::store, and emits the front as
-// versioned `hi-pareto/v1` JSON.
-//
-//   hi_pareto [options]                 ladder sweep of the paper scenario
-//   hi_pareto --mode exhaustive         full-space exact front
-//   hi_pareto --store FILE ...          resumable: warm-start from FILE and
-//                                       write every fresh simulation through;
-//                                       a rerun re-simulates zero points
-//   hi_pareto --dump-scenario           print the paper scenario as JSON
+// flags, wires an optional warm hi::store (a rerun re-simulates zero
+// points), and emits the front as versioned `hi-pareto/v1` JSON.
+// `hi_pareto --bogus` prints the flags.
 //
 // Sharding across the campaign fabric: run disjoint --pdr-min slices
 // into per-shard stores, `hi_campaign --merge DIR`, then rerun the full
@@ -17,12 +11,12 @@
 // Exit codes: 0 success, 2 usage error (bad flag or rejected input).
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/scenario_gen.hpp"
@@ -35,28 +29,12 @@
 
 namespace {
 
-using hi::cli::parse_f64;
-using hi::cli::parse_int;
-using hi::cli::parse_u64;
 using hi::store::detail::fmt_double;
-
-bool parse_pdr_list(const std::string& list, std::vector<double>& out) {
-  out.clear();
-  std::stringstream ss(list);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    double v = 0.0;
-    if (!parse_f64(item.c_str(), v) || v < 0.0 || v > 1.0) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
+using hi::store::detail::json_string;
 
 void emit_point(std::ostream& os, const hi::pareto::FrontPoint& p,
                 const char* indent) {
-  std::string label;
-  hi::store::detail::put_json_string(label, p.cfg.label());
-  os << indent << "{\"label\": " << label << ", "
+  os << indent << "{\"label\": " << json_string(p.cfg.label()) << ", "
      << "\"design_key\": " << p.cfg.design_key() << ", "
      << "\"power_mw\": " << fmt_double(p.power_mw) << ", "
      << "\"pdr\": " << fmt_double(p.pdr) << ", "
@@ -67,41 +45,11 @@ void emit_point(std::ostream& os, const hi::pareto::FrontPoint& p,
      << "\"protection_mw\": " << fmt_double(p.protection_mw) << "}";
 }
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "       " << argv0 << " --dump-scenario\n"
-      << "\n"
-      << "options:\n"
-      << "  --mode NAME       ladder | exhaustive (default ladder)\n"
-      << "  --scenario FILE   scenario JSON (see --dump-scenario)\n"
-      << "  --gen-seed N      generated check scenario instead of the paper's\n"
-      << "  --pdr-min LIST    comma-separated PDRmin ladder\n"
-      << "                    (default 0.5,0.6,0.7,0.8,0.9,0.95,0.99)\n"
-      << "  --gamma N         Bertsimas-Sim protection budget (default 0)\n"
-      << "  --realizations N  channel realizations per design (default 1)\n"
-      << "  --confidence P    PDR confidence-interval level (default 0.95)\n"
-      << "  --epsilon-power MW  epsilon-dominance knobs (default 0 = exact\n"
-      << "  --epsilon-pdr P     strict dominance)\n"
-      << "  --epsilon-p95 SEC\n"
-      << "  --no-latency      skip latency collection (p95 objective = 0;\n"
-      << "                    keeps pre-latency store fingerprints)\n"
-      << "  --store FILE      warm-start + write-through evaluation store\n"
-      << "  --out FILE        write the JSON report to FILE (default stdout)\n"
-      << "  --threads N       worker threads (default 0 = serial)\n"
-      << "  --tsim SEC        simulated seconds per run (default 600)\n"
-      << "  --runs N          replications per design point (default 3)\n"
-      << "  --seed N          experiment seed root (default 1)\n"
-      << "  --max-rounds N    MILP round safety valve (default 10000)\n"
-      << "  --kill-after-rounds N  SIGKILL self after N completed rounds\n"
-      << "                    (crash-injection test hook; store is synced\n"
-      << "                    after every round first)\n";
-  return 2;
-}
-
 }  // namespace
 
 int run(int argc, char** argv) {
+  namespace cli = hi::cli;
+  namespace flags = hi::cli::flags;
   std::string mode = "ladder";
   std::string scenario_path;
   std::optional<std::uint64_t> gen_seed;
@@ -112,65 +60,48 @@ int run(int argc, char** argv) {
   int kill_after_rounds = -1;
   hi::pareto::SweepOptions sweep;
   hi::dse::EvaluatorSettings settings;
-  settings.sim.duration_s = 600.0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::uint64_t u = 0;
-    double f = 0.0;
-    const bool has_value = i + 1 < argc;
-    if (arg == "--mode" && has_value) {
-      mode = argv[++i];
-      if (mode != "ladder" && mode != "exhaustive") return usage(argv[0]);
-    } else if (arg == "--scenario" && has_value) {
-      scenario_path = argv[++i];
-    } else if (arg == "--gen-seed" && has_value && parse_u64(argv[++i], u)) {
-      gen_seed = u;
-    } else if (arg == "--pdr-min" && has_value) {
-      if (!parse_pdr_list(argv[++i], sweep.pdr_ladder)) return usage(argv[0]);
-    } else if (arg == "--gamma" && has_value &&
-               parse_int(argv[++i], sweep.robust.gamma)) {
-    } else if (arg == "--realizations" && has_value &&
-               parse_int(argv[++i], sweep.robust.realizations, 1)) {
-    } else if (arg == "--confidence" && has_value && parse_f64(argv[++i], f)) {
-      sweep.robust.confidence = f;
-    } else if (arg == "--epsilon-power" && has_value &&
-               parse_f64(argv[++i], f) && f >= 0.0) {
-      sweep.front.epsilon_power_mw = f;
-    } else if (arg == "--epsilon-pdr" && has_value && parse_f64(argv[++i], f) &&
-               f >= 0.0) {
-      sweep.front.epsilon_pdr = f;
-    } else if (arg == "--epsilon-p95" && has_value && parse_f64(argv[++i], f) &&
-               f >= 0.0) {
-      sweep.front.epsilon_p95_s = f;
-    } else if (arg == "--no-latency") {
-      collect_latency = false;
-    } else if (arg == "--store" && has_value) {
-      store_path = argv[++i];
-    } else if (arg == "--out" && has_value) {
-      out_path = argv[++i];
-    } else if (arg == "--threads" && has_value &&
-               parse_int(argv[++i], sweep.threads)) {
-    } else if (arg == "--tsim" && has_value && parse_f64(argv[++i], f) &&
-               f > 0.0) {
-      settings.sim.duration_s = f;
-    } else if (arg == "--runs" && has_value &&
-               parse_int(argv[++i], settings.runs, 1)) {
-    } else if (arg == "--seed" && has_value && parse_u64(argv[++i], u)) {
-      settings.sim.seed = u;
-    } else if (arg == "--max-rounds" && has_value &&
-               parse_int(argv[++i], sweep.max_rounds)) {
-    } else if (arg == "--kill-after-rounds" && has_value &&
-               parse_int(argv[++i], kill_after_rounds)) {
-    } else if (arg == "--dump-scenario") {
-      dump_scenario = true;
-    } else {
-      return usage(argv[0]);
-    }
+  cli::FlagTable table({"[options]", "--dump-scenario"});
+  table.section("options")
+      .add(cli::choice("--mode",
+                       "PDRmin ladder of MILP rungs, or the exact\n"
+                       "full-space front",
+                       mode,
+                       {{"ladder", "ladder"}, {"exhaustive", "exhaustive"}}))
+      .add(flags::scenario(cli::text(scenario_path)))
+      .add(flags::gen_seed(cli::number(gen_seed)))
+      .add(flags::pdr_min(sweep.pdr_ladder))
+      .add(flags::gamma(sweep.robust.gamma))
+      .add(flags::realizations(sweep.robust.realizations))
+      .add(flags::confidence(sweep.robust.confidence))
+      .add({"--epsilon-power", "MW", "power epsilon-dominance (0 = strict)",
+            cli::number(sweep.front.epsilon_power_mw, cli::at_least(0.0))})
+      .add({"--epsilon-pdr", "P", "PDR epsilon-dominance (0 = strict)",
+            cli::number(sweep.front.epsilon_pdr, cli::at_least(0.0))})
+      .add({"--epsilon-p95", "SEC", "p95 epsilon-dominance (0 = strict)",
+            cli::number(sweep.front.epsilon_p95_s, cli::at_least(0.0))})
+      .add({"--no-latency", "", "skip latency collection (p95 objective = 0;\n"
+                                "keeps pre-latency store fingerprints)",
+            cli::on(collect_latency, false)})
+      .add(flags::store(store_path))
+      .add(flags::out(out_path))
+      .add(flags::threads(sweep.threads))
+      .add(flags::tsim(settings.sim.duration_s))
+      .add(flags::runs(settings.runs))
+      .add(flags::seed(settings.sim.seed))
+      .add({"--max-rounds", "N", "MILP round safety valve",
+            cli::number(sweep.max_rounds, cli::at_least(0))})
+      .add({"--kill-after-rounds", "N",
+            "SIGKILL self after N completed rounds, the\n"
+            "store synced first (crash test hook)",
+            cli::number(kill_after_rounds, cli::at_least(0))})
+      .add(flags::dump_scenario(dump_scenario));
+  if (!table.parse(argc, argv)) {
+    return table.usage();
   }
 
   if (dump_scenario) {
-    std::cout << hi::store::scenario_to_json(hi::model::Scenario{}) << "\n";
+    std::cout << hi::store::scenario_to_json(hi::model::Scenario{});
     return 0;
   }
 
@@ -181,14 +112,12 @@ int run(int argc, char** argv) {
     return 2;
   }
   if (!scenario_path.empty()) {
-    std::ifstream in(scenario_path);
-    if (!in) {
+    const auto text = hi::store::detail::read_file(scenario_path);
+    if (!text.has_value()) {
       std::cerr << "hi_pareto: cannot read " << scenario_path << "\n";
       return 2;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const auto parsed = hi::store::scenario_from_json(buf.str());
+    const auto parsed = hi::store::scenario_from_json(*text);
     if (!parsed.has_value()) {
       std::cerr << "hi_pareto: invalid scenario JSON in " << scenario_path
                 << "\n";
@@ -196,15 +125,14 @@ int run(int argc, char** argv) {
     }
     scenario = *parsed;
   } else if (gen_seed.has_value()) {
-    const hi::check::ScenarioSpec spec = hi::check::make_scenario(*gen_seed);
+    // Generated scenarios carry their settings; Tsim, seed and runs
+    // still come from the flags.
+    hi::check::ScenarioSpec spec = hi::check::make_scenario(*gen_seed);
     scenario = spec.scenario;
-    const double tsim = settings.sim.duration_s;
-    const std::uint64_t seed = settings.sim.seed;
-    const int runs = settings.runs;
-    settings = spec.settings;  // generated scenarios carry their settings
-    settings.sim.duration_s = tsim;
-    settings.sim.seed = seed;
-    settings.runs = runs;
+    spec.settings.sim.duration_s = settings.sim.duration_s;
+    spec.settings.sim.seed = settings.sim.seed;
+    spec.settings.runs = settings.runs;
+    settings = spec.settings;
   }
   settings.sim.collect_latency = collect_latency;
 
@@ -282,17 +210,7 @@ int run(int argc, char** argv) {
   os << "  \"wall_s\": " << fmt_double(res.wall_time_s) << "\n";
   os << "}\n";
 
-  if (out_path.empty()) {
-    std::cout << os.str();
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "hi_pareto: cannot write " << out_path << "\n";
-      return 2;
-    }
-    out << os.str();
-  }
-  return 0;
+  return hi::cli::write_report("hi_pareto", out_path, os.str());
 }
 
 int main(int argc, char** argv) {
