@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Runs the tier-1 test suite under AddressSanitizer and ThreadSanitizer
-# in sequence — the pre-merge confidence sweep for the concurrency and
-# memory-safety guarantees the code comments promise — plus a
+# Runs the tier-1 test suite under AddressSanitizer, ThreadSanitizer and
+# UndefinedBehaviorSanitizer in sequence — the pre-merge confidence
+# sweep for the concurrency, memory-safety and defined-behaviour
+# guarantees the code comments promise — plus a
 # store-recovery fuzz sweep (hi::store corruption handling under ASan,
 # wider than the tier-1 smoke run).
 #
 #   scripts/check.sh [--extended] [extra ctest args...]
 #
 # --extended additionally runs the `extended` ctest label (the long
-# fuzz_dse / fuzz_store sweeps) in both sanitizer trees.
+# fuzz_dse / fuzz_store sweeps) in every sanitizer tree.
 #
-# Build trees live in build-address/ and build-thread/ next to build/
-# (all three are gitignored); each is configured on first use and
+# Build trees live in build-address/, build-thread/ and build-undefined/
+# next to build/ (all gitignored); each is configured on first use and
 # reused afterwards.
 #
 # Also runs the cheap documentation-consistency check (docs_check.sh)
@@ -49,6 +50,7 @@ run_suite() {
 
 run_suite address "$@"
 run_suite thread "$@"
+run_suite undefined "$@"
 
 # Store-recovery fuzzing beyond the tier-1 smoke run: seeded torn-write /
 # bit-flip corruption against hi::store's recovery contract, under ASan

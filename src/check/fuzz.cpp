@@ -131,6 +131,8 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
        }},
       {"robust_collapse",
        [](const ScenarioSpec& s) { return check_robust_collapse(s); }},
+      {"crowd_collapse",
+       [](const ScenarioSpec& s) { return check_crowd_collapse(s); }},
   };
   const std::vector<Property> rotated = {
       {"alg1_vs_exhaustive+pdrmin_monotone", dse_metamorphic},

@@ -3,8 +3,8 @@
 // run_fuzz walks a contiguous block of ScenarioGen seeds; for each seed
 // it builds the scenario instance and runs a battery of properties
 // (check/properties.hpp): the solver-vs-oracle differentials and the
-// power-cut monotonicity every time, the simulator invariant audit every
-// time, and one of the heavy whole-run metamorphic checks (Algorithm 1
+// power-cut monotonicity every time, the simulator invariant audit and
+// the Γ=0 and crowd M=1 collapse checks every time, and one of the heavy whole-run metamorphic checks (Algorithm 1
 // vs exhaustive + PDRmin monotonicity, or thread determinism) in
 // rotation so a fuzz session covers both without doubling its cost.
 //

@@ -24,7 +24,11 @@ class Audit {
   Audit(const model::NetworkConfig& cfg, const net::SimParams& params,
         const net::SimResult& res, const obs::Snapshot& metrics,
         const std::vector<obs::TraceEvent>& trace)
-      : cfg_(cfg), params_(params), res_(res), m_(metrics), trace_(trace) {}
+      : cfg_(cfg), params_(params), res_(res), m_(metrics), trace_(trace) {
+    for (const net::NodeResult& nr : res_.nodes) {
+      net::add_node_counts(totals_, nr);
+    }
+  }
 
   std::vector<std::string> run() {
     check_reliability();
@@ -91,19 +95,15 @@ class Audit {
 
   void check_conservation() {
     const std::uint64_t n = res_.nodes.size();
-    std::uint64_t mac_sent = 0, mac_enq = 0, mac_drop = 0, radio_tx = 0,
-                  rx_outcomes = 0, originated = 0, delivered = 0, relayed = 0;
-    for (const net::NodeResult& nr : res_.nodes) {
-      mac_sent += nr.mac.sent;
-      mac_enq += nr.mac.enqueued;
-      mac_drop += nr.mac.dropped_buffer;
-      radio_tx += nr.radio.tx_packets;
-      rx_outcomes += nr.radio.rx_ok + nr.radio.rx_corrupted +
-                     nr.radio.rx_missed + nr.radio.rx_aborted;
-      originated += nr.routing.originated;
-      delivered += nr.routing.delivered;
-      relayed += nr.routing.relayed;
-    }
+    const net::NodeResult& t = totals_;
+    const std::uint64_t mac_sent = t.mac.sent, mac_enq = t.mac.enqueued,
+                        mac_drop = t.mac.dropped_buffer,
+                        radio_tx = t.radio.tx_packets,
+                        rx_outcomes = t.radio.rx_ok + t.radio.rx_corrupted +
+                                      t.radio.rx_missed + t.radio.rx_aborted,
+                        originated = t.routing.originated,
+                        delivered = t.routing.delivered,
+                        relayed = t.routing.relayed;
     const net::MediumStats& med = res_.medium;
     if (mac_sent != radio_tx || radio_tx != med.transmissions) {
       fail("tx conservation: mac.sent ", mac_sent, " != radio.tx ", radio_tx,
@@ -221,12 +221,9 @@ class Audit {
     }
     (void)energy_power_mismatch;
     const std::uint64_t n = res_.nodes.size();
-    std::uint64_t want_rx = 0, want_drops = 0, want_backoffs = 0;
-    for (const net::NodeResult& nr : res_.nodes) {
-      want_rx += nr.radio.rx_ok;
-      want_drops += nr.mac.dropped_buffer;
-      want_backoffs += nr.mac.backoffs;
-    }
+    const std::uint64_t want_rx = totals_.radio.rx_ok,
+                        want_drops = totals_.mac.dropped_buffer,
+                        want_backoffs = totals_.mac.backoffs;
     if (tx != res_.medium.transmissions) {
       fail("trace tx count ", tx, " != medium.transmissions ",
            res_.medium.transmissions);
@@ -271,6 +268,7 @@ class Audit {
   const net::SimResult& res_;
   const obs::Snapshot& m_;
   const std::vector<obs::TraceEvent>& trace_;
+  net::NodeResult totals_;  ///< app/radio/MAC/routing counts, all nodes
   std::vector<std::string> violations_;
 };
 

@@ -10,11 +10,13 @@
 #include "check/lp_oracle.hpp"
 #include "check/milp_oracle.hpp"
 #include "check/robust_oracle.hpp"
+#include "crowd/crowd.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "model/power.hpp"
+#include "store/serialize.hpp"
 
 namespace hi::check {
 
@@ -310,35 +312,9 @@ std::vector<std::string> check_tied_pool_completeness(const milp::Model& m) {
 
 std::vector<std::string> check_alg1_matches_exhaustive(
     const model::Scenario& sc, dse::Evaluator& eval, double pdr_min) {
-  std::vector<std::string> out;
-  dse::ExplorationOptions opt;
-  opt.pdr_min = pdr_min;
-  opt.bound = dse::TerminationBound::kSoundFloor;
-  const dse::ExplorationResult ex = dse::run_exhaustive(sc, eval, opt);
-  eval.reset_counters();  // the cache stays; Algorithm 1 rides it
-  const dse::ExplorationResult a1 = dse::run_algorithm1(sc, eval, opt);
-  if (ex.feasible != a1.feasible) {
-    fail(out, "feasibility disagrees at PDRmin ", pdr_min, ": exhaustive ",
-         ex.feasible, ", algorithm1 ", a1.feasible);
-    return out;
-  }
-  if (ex.feasible) {
-    if (a1.best_power_mw != ex.best_power_mw) {
-      fail(out, "optimal power disagrees at PDRmin ", pdr_min,
-           ": exhaustive ", ex.best_power_mw, " mW (",
-           ex.best.label(), "), algorithm1 ", a1.best_power_mw, " mW (",
-           a1.best.label(), ")");
-    }
-    if (a1.best_pdr < pdr_min) {
-      fail(out, "algorithm1 incumbent PDR ", a1.best_pdr,
-           " misses PDRmin ", pdr_min);
-    }
-  }
-  if (a1.simulations > ex.simulations) {
-    fail(out, "algorithm1 needed ", a1.simulations,
-         " simulations, more than exhaustive's ", ex.simulations);
-  }
-  return out;
+  // Nominal is the Γ=0, K=1 case of the one evaluation path.
+  return check_robust_alg1_matches_exhaustive(sc, eval, pdr_min,
+                                              dse::RobustnessOptions{});
 }
 
 std::vector<std::string> check_pdrmin_monotone(
@@ -449,54 +425,8 @@ std::vector<std::string> check_no_good_cut_monotone(milp::Model m) {
 
 std::vector<std::string> check_thread_determinism(const ScenarioSpec& spec,
                                                   int threads) {
-  std::vector<std::string> out;
-  const auto run_at = [&](int t) {
-    dse::EvaluatorSettings s = spec.settings;
-    s.threads = t;
-    dse::Evaluator eval(s);
-    dse::ExplorationOptions opt;
-    opt.pdr_min = 0.8;
-    return dse::run_exhaustive(spec.scenario, eval, opt);
-  };
-  const dse::ExplorationResult serial = run_at(0);
-  const dse::ExplorationResult par = run_at(threads);
-  if (serial.feasible != par.feasible) {
-    fail(out, "feasibility differs at ", threads, " threads");
-  }
-  if (serial.feasible && serial.best.design_key() != par.best.design_key()) {
-    fail(out, "best design differs at ", threads, " threads: ",
-         serial.best.label(), " vs ", par.best.label());
-  }
-  // Exact double comparisons: determinism is bit-identical or broken.
-  if (serial.best_power_mw != par.best_power_mw ||
-      serial.best_pdr != par.best_pdr || serial.best_nlt_s != par.best_nlt_s) {
-    fail(out, "best metrics differ at ", threads, " threads");
-  }
-  if (serial.simulations != par.simulations) {
-    fail(out, "simulation counts differ at ", threads, " threads: ",
-         serial.simulations, " vs ", par.simulations);
-  }
-  if (serial.history.size() != par.history.size()) {
-    fail(out, "history lengths differ at ", threads, " threads");
-  } else {
-    for (std::size_t i = 0; i < serial.history.size(); ++i) {
-      const dse::CandidateRecord& a = serial.history[i];
-      const dse::CandidateRecord& b = par.history[i];
-      if (a.cfg.design_key() != b.cfg.design_key() ||
-          a.sim_pdr != b.sim_pdr || a.sim_power_mw != b.sim_power_mw ||
-          a.sim_nlt_s != b.sim_nlt_s) {
-        fail(out, "history entry ", i, " differs at ", threads, " threads");
-        break;
-      }
-    }
-  }
-  // exec.* counters describe the scheduling itself (batches, queue
-  // depths) and are legitimately thread-dependent; everything else must
-  // match exactly.
-  std::vector<std::string> counter_diffs =
-      diff_counters(serial.metrics, par.metrics, {"exec."});
-  out.insert(out.end(), counter_diffs.begin(), counter_diffs.end());
-  return out;
+  return check_robust_thread_determinism(spec, threads,
+                                         dse::RobustnessOptions{});
 }
 
 RobustMilpInstance random_robust_milp(Rng& rng) {
@@ -593,14 +523,14 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
   eval.reset_counters();  // caches (all realizations) stay; Alg 1 rides them
   const dse::ExplorationResult a1 = dse::run_algorithm1(sc, eval, opt);
   if (ex.feasible != a1.feasible) {
-    fail(out, "robust feasibility disagrees at PDRmin ", pdr_min, ", gamma ",
+    fail(out, "feasibility disagrees at PDRmin ", pdr_min, ", gamma ",
          robust.gamma, ", K ", robust.realizations, ": exhaustive ",
          ex.feasible, ", algorithm1 ", a1.feasible);
     return out;
   }
   if (ex.feasible) {
     if (a1.best_power_mw != ex.best_power_mw) {
-      fail(out, "robust optimal power disagrees at PDRmin ", pdr_min,
+      fail(out, "optimal power disagrees at PDRmin ", pdr_min,
            ", gamma ", robust.gamma, ", K ", robust.realizations,
            ": exhaustive ", ex.best_power_mw, " mW (", ex.best.label(),
            "), algorithm1 ", a1.best_power_mw, " mW (", a1.best.label(),
@@ -617,7 +547,7 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
     }
   }
   if (a1.simulations > ex.simulations) {
-    fail(out, "robust algorithm1 needed ", a1.simulations,
+    fail(out, "algorithm1 needed ", a1.simulations,
          " simulations, more than exhaustive's ", ex.simulations);
   }
   if (a1.realizations != robust.realizations ||
@@ -678,6 +608,80 @@ std::vector<std::string> check_robust_collapse(const ScenarioSpec& spec) {
              " differs from the nominal encoding's");
         break;
       }
+    }
+  }
+  return out;
+}
+
+namespace {
+
+/// Every SimResult field but the crowd aggregate, bit for bit: the
+/// store's byte image plus the medium's cross-body ledger.
+std::string image(const net::SimResult& r) {
+  dse::Evaluation ev;
+  ev.detail = r;
+  ev.detail.crowd = {};
+  store::ByteWriter w;
+  store::write_evaluation(w, ev);
+  w.put_u64(r.medium.cross_offered);
+  w.put_u64(r.medium.cross_below_sensitivity);
+  return w.bytes();
+}
+
+}  // namespace
+
+std::vector<std::string> check_crowd_collapse(const ScenarioSpec& spec) {
+  std::vector<std::string> out;
+  const std::vector<model::NetworkConfig> configs =
+      spec.scenario.feasible_configs();
+  if (configs.empty()) {
+    fail(out, "scenario has an empty feasible design space");
+    return out;
+  }
+  // The crowd channel at one body is the default body channel, so the
+  // single-body side uses the default factory whatever the settings say.
+  const net::ChannelFactory make_channel = net::default_channel_factory();
+  const int runs = std::max(2, spec.settings.runs);
+  Rng rng = Rng{spec.seed}.fork("check.crowd.collapse");
+  const int picks = std::min<int>(2, static_cast<int>(configs.size()));
+  for (int i = 0; i < picks; ++i) {
+    const model::NetworkConfig& cfg =
+        configs[rng.uniform_index(configs.size())];
+    model::CrowdScenario sc;  // one body by default
+    sc.cfg = cfg;
+    net::SimParams params = spec.settings.sim;
+    params.seed = rng.next_u64();
+    const std::uint64_t channel_seed = rng.next_u64();
+    for (const bool averaged : {false, true}) {
+      const std::string what =
+          cfg.label() + (averaged ? " averaged" : " single run");
+      obs::MetricsRegistry single_metrics, crowd_metrics;
+      params.collect_latency = !averaged;  // the crowd average drops it
+      params.metrics = &single_metrics;
+      const net::SimResult single =
+          averaged ? net::simulate_averaged(cfg, params, runs, make_channel)
+                   : net::simulate(cfg, *make_channel(channel_seed), params);
+      params.metrics = &crowd_metrics;
+      const crowd::CrowdResult cr =
+          averaged ? crowd::simulate_crowd_averaged(sc, params, runs)
+                   : crowd::simulate_crowd(
+                         sc, *crowd::make_crowd_channel_for(sc, channel_seed),
+                         params);
+      // The crowd seen as one body: run-global headline, medium and
+      // event count from the summary, node rows and latency from body 0.
+      net::SimResult view = cr.summary;
+      view.nodes = cr.per_body.front().nodes;
+      view.latency = cr.per_body.front().latency;
+      if (image(single) != image(view)) {
+        fail(out, what, ": results differ (pdr ", single.pdr, " vs ",
+             view.pdr, ", events ", single.events, " vs ", view.events, ")");
+      }
+      const obs::Snapshot a = single_metrics.snapshot();
+      const obs::Snapshot b = crowd_metrics.snapshot();
+      for (std::string& v : diff_counters(a, b, {"net.crowd_"})) {
+        fail(out, what, ": ", v);
+      }
+      if (a.gauges != b.gauges) fail(out, what, ": gauges differ");
     }
   }
   return out;
@@ -776,10 +780,10 @@ std::vector<std::string> check_robust_thread_determinism(
   const dse::ExplorationResult serial = run_at(0);
   const dse::ExplorationResult par = run_at(threads);
   if (serial.feasible != par.feasible) {
-    fail(out, "robust feasibility differs at ", threads, " threads");
+    fail(out, "feasibility differs at ", threads, " threads");
   }
   if (serial.feasible && serial.best.design_key() != par.best.design_key()) {
-    fail(out, "robust best design differs at ", threads, " threads: ",
+    fail(out, "best design differs at ", threads, " threads: ",
          serial.best.label(), " vs ", par.best.label());
   }
   // Exact double comparisons: determinism is bit-identical or broken.
@@ -789,8 +793,7 @@ std::vector<std::string> check_robust_thread_determinism(
       serial.best_pdr_lo != par.best_pdr_lo ||
       serial.best_pdr_hi != par.best_pdr_hi ||
       serial.best_protection_mw != par.best_protection_mw) {
-    fail(out, "robust best metrics (incl. CI) differ at ", threads,
-         " threads");
+    fail(out, "best metrics (incl. CI) differ at ", threads, " threads");
   }
   if (serial.simulations != par.simulations) {
     fail(out, "simulation counts differ at ", threads, " threads: ",
@@ -806,12 +809,14 @@ std::vector<std::string> check_robust_thread_determinism(
           a.sim_pdr != b.sim_pdr || a.sim_power_mw != b.sim_power_mw ||
           a.sim_nlt_s != b.sim_nlt_s || a.pdr_lo != b.pdr_lo ||
           a.pdr_hi != b.pdr_hi) {
-        fail(out, "robust history entry ", i, " differs at ", threads,
-             " threads");
+        fail(out, "history entry ", i, " differs at ", threads, " threads");
         break;
       }
     }
   }
+  // exec.* counters describe the scheduling itself (batches, queue
+  // depths) and are legitimately thread-dependent; everything else must
+  // match exactly.
   std::vector<std::string> counter_diffs =
       diff_counters(serial.metrics, par.metrics, {"exec."});
   out.insert(out.end(), counter_diffs.begin(), counter_diffs.end());

@@ -88,7 +88,8 @@ namespace hi::check {
 
 /// Algorithm 1 (sound bound) and exhaustive search agree on feasibility
 /// and on the optimal power, and Algorithm 1 never simulates more.
-/// Runs share `eval`'s cache; counters are reset between runs.
+/// Runs share `eval`'s cache; counters are reset between runs.  The
+/// Γ=0, K=1 case of check_robust_alg1_matches_exhaustive.
 [[nodiscard]] std::vector<std::string> check_alg1_matches_exhaustive(
     const model::Scenario& sc, dse::Evaluator& eval, double pdr_min);
 
@@ -114,6 +115,7 @@ namespace hi::check {
 /// Exhaustive search at `threads` workers vs serial: bit-identical
 /// ExplorationResult (best point, metrics, history) and equal counter
 /// snapshots (exec.* scheduling counters excluded — see DESIGN.md §8).
+/// The Γ=0, K=1 case of check_robust_thread_determinism.
 [[nodiscard]] std::vector<std::string> check_thread_determinism(
     const ScenarioSpec& spec, int threads);
 
@@ -150,6 +152,13 @@ struct RobustMilpInstance {
 /// degenerate CI), and the Γ=0 MILP encoding's first round matches the
 /// nominal encoding's bit for bit.
 [[nodiscard]] std::vector<std::string> check_robust_collapse(
+    const ScenarioSpec& spec);
+
+/// Crowd M=1 collapse: over sampled feasible configs, a one-body
+/// simulate_crowd / simulate_crowd_averaged equals net::simulate /
+/// simulate_averaged bit for bit in every SimResult field, counter
+/// (net.crowd_* aside) and gauge; only the single run collects latency.
+[[nodiscard]] std::vector<std::string> check_crowd_collapse(
     const ScenarioSpec& spec);
 
 /// Monotonicity of the robust exhaustive optimum: nondecreasing in Γ at

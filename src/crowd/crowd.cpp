@@ -1,13 +1,11 @@
 #include "crowd/crowd.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <limits>
 #include <numeric>
 #include <utility>
 
-#include "channel/locations.hpp"
 #include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -18,8 +16,6 @@
 namespace hi::crowd {
 
 namespace {
-
-using net::detail::NodeBundle;
 
 /// Canonical body order: ranks sorted by (y, x), input index breaking
 /// ties.  order[rank] = input placement index.  Everything the RNG or
@@ -36,16 +32,6 @@ std::vector<int> canonical_order(
     return pa.x_m < pb.x_m;
   });
   return order;
-}
-
-/// RNG lane of the body at canonical rank `rank`.  Rank 0's lane IS the
-/// run seed — the M=1 collapse onto net::simulate's root.
-Rng body_lane(std::uint64_t seed, int rank) {
-  if (rank == 0) return Rng{seed};
-  return Rng{Rng{seed}
-                 .fork("crowd.body")
-                 .fork(static_cast<std::uint64_t>(rank))
-                 .next_u64()};
 }
 
 /// `base` re-targeted at `bodies` bodies.  An explicit placement list
@@ -92,208 +78,91 @@ CrowdResult simulate_crowd(const model::CrowdScenario& sc,
                            channel::ChannelModel& channel,
                            const net::SimParams& params) {
   sc.validate();
-  const model::NetworkConfig& cfg = sc.cfg;
   const int bodies = sc.bodies;
-  const std::vector<model::BodyPlacement> pos = sc.positions();
-  const std::vector<int> order = canonical_order(pos);
-  const std::vector<int> locs = cfg.topology.locations();
-  const int n = static_cast<int>(locs.size());
-  HI_REQUIRE(params.duration_s > params.gen_guard_s,
-             "simulate_crowd: duration " << params.duration_s
-                                         << " s must exceed the guard "
-                                         << params.gen_guard_s << " s");
-  if (cfg.routing.protocol == model::RoutingProtocol::kStar) {
-    HI_REQUIRE(cfg.topology.has(cfg.routing.coordinator),
-               "star coordinator location " << cfg.routing.coordinator
-                                            << " carries no node");
-  }
+  const std::vector<int> order = canonical_order(sc.positions());
+  net::detail::BodiesRun run =
+      net::detail::run_bodies(sc.cfg, channel, params, bodies);
 
-  des::Kernel kernel;
-  // One shared arena for all M networks, pre-sized so the steady-state
-  // pending set (a handful of events per node) never grows mid-run.
-  kernel.reserve(static_cast<std::size_t>(bodies) *
-                 static_cast<std::size_t>(n) * 4);
-  net::Medium medium(kernel, channel, params.trace);
-
-  // Bodies are built in canonical rank order: the medium's radio list,
-  // the channel's body indices, and the RNG lanes all see ranks, never
-  // input indices.
-  std::vector<std::unique_ptr<net::LatencyRecorder>> latency(
-      static_cast<std::size_t>(bodies));
-  std::vector<std::vector<std::unique_ptr<NodeBundle>>> nets(
-      static_cast<std::size_t>(bodies));
-  for (int rank = 0; rank < bodies; ++rank) {
-    const Rng lane = body_lane(params.seed, rank);
-    if (params.collect_latency) {
-      latency[static_cast<std::size_t>(rank)] =
-          std::make_unique<net::LatencyRecorder>();
-    }
-    auto& nodes = nets[static_cast<std::size_t>(rank)];
-    nodes.reserve(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k) {
-      const int loc = locs[static_cast<std::size_t>(k)];
-      std::vector<int> peers;
-      peers.reserve(static_cast<std::size_t>(n) - 1);
-      for (int other : locs) {
-        if (other != loc) peers.push_back(other);
-      }
-      nodes.push_back(std::make_unique<NodeBundle>(
-          kernel, medium, loc, cfg, params,
-          /*slot_index=*/k, /*num_slots=*/n, std::move(peers),
-          lane.fork(static_cast<std::uint64_t>(loc)),
-          latency[static_cast<std::size_t>(rank)].get(),
-          /*net_id=*/rank,
-          /*channel_id=*/rank * channel::kNumLocations + loc));
-    }
-  }
-
-  const double gen_end = params.duration_s - params.gen_guard_s;
-  for (auto& nodes : nets) {
-    for (auto& nb : nodes) {
-      nb->mac->start();
-      nb->app->start(gen_end);
-    }
-  }
-  kernel.run_until(params.duration_s);
-
-  // ---- Metrics: per body first (canonical order, so every accumulator
-  // below is permutation-invariant), then the crowd aggregate.
+  // Per body first (canonical order, so every accumulator below is
+  // permutation-invariant), then the crowd aggregate.
   CrowdResult out;
   out.per_body.resize(static_cast<std::size_t>(bodies));
   out.summary.nodes.resize(static_cast<std::size_t>(bodies));
   RunningStats body_pdr, body_mean_power;
   double worst = 0.0;
   double min_pdr = std::numeric_limits<double>::infinity();
-  std::uint64_t foreign_heard = 0, foreign_decoded = 0;
   for (int rank = 0; rank < bodies; ++rank) {
-    const int input = order[static_cast<std::size_t>(rank)];
-    const auto& nodes = nets[static_cast<std::size_t>(rank)];
-    net::SimResult& br = out.per_body[static_cast<std::size_t>(input)];
-    br.duration_s = params.duration_s;
-    if (latency[static_cast<std::size_t>(rank)] != nullptr) {
-      br.latency = latency[static_cast<std::size_t>(rank)]->summary();
-    }
-    net::detail::summarize_nodes(nodes, cfg, params, br);
-
+    const auto input =
+        static_cast<std::size_t>(order[static_cast<std::size_t>(rank)]);
+    net::SimResult& br = run.bodies[static_cast<std::size_t>(rank)];
     body_pdr.add(br.pdr);
     body_mean_power.add(br.mean_power_mw);
     worst = std::max(worst, br.worst_power_mw);
     min_pdr = std::min(min_pdr, br.pdr);
 
     // One summary row per body: stats summed over the body's nodes.
-    net::NodeResult row;
-    row.location = input;
+    net::NodeResult& row = out.summary.nodes[input];
+    row.location = static_cast<int>(input);
     row.pdr = br.pdr;
     row.power_mw = br.worst_power_mw;
-    for (const net::NodeResult& nr : br.nodes) {
-      row.app_sent += nr.app_sent;
-      row.radio.tx_packets += nr.radio.tx_packets;
-      row.radio.rx_ok += nr.radio.rx_ok;
-      row.radio.rx_corrupted += nr.radio.rx_corrupted;
-      row.radio.rx_missed += nr.radio.rx_missed;
-      row.radio.rx_aborted += nr.radio.rx_aborted;
-      row.mac.enqueued += nr.mac.enqueued;
-      row.mac.sent += nr.mac.sent;
-      row.mac.dropped_buffer += nr.mac.dropped_buffer;
-      row.mac.backoffs += nr.mac.backoffs;
-      row.routing.originated += nr.routing.originated;
-      row.routing.delivered += nr.routing.delivered;
-      row.routing.duplicates += nr.routing.duplicates;
-      row.routing.relayed += nr.routing.relayed;
-    }
-    for (const auto& nb : nodes) {
-      foreign_heard += nb->radio.crowd_stats().foreign_heard;
-      foreign_decoded += nb->radio.crowd_stats().foreign_decoded;
-    }
-    out.summary.nodes[static_cast<std::size_t>(input)] = row;
+    for (const net::NodeResult& nr : br.nodes) net::add_node_counts(row, nr);
+    out.per_body[input] = std::move(br);
   }
 
   net::SimResult& s = out.summary;
   s.pdr = body_pdr.mean();
   s.worst_power_mw = worst;
   s.mean_power_mw = body_mean_power.mean();
-  s.nlt_s = worst > 0.0 ? cfg.battery_j / mw_to_w(worst) : 0.0;
+  s.nlt_s = worst > 0.0 ? sc.cfg.battery_j / mw_to_w(worst) : 0.0;
   s.duration_s = params.duration_s;
-  s.medium = medium.stats();
-  s.events = kernel.events_processed();
+  s.medium = run.medium;
+  s.events = run.events;
   s.crowd.present = true;
   s.crowd.bodies = bodies;
   s.crowd.min_body_pdr = min_pdr;
   s.crowd.cross_offered = s.medium.cross_offered;
   s.crowd.cross_below_sensitivity = s.medium.cross_below_sensitivity;
-  s.crowd.foreign_heard = foreign_heard;
-  s.crowd.foreign_decoded = foreign_decoded;
+  s.crowd.foreign_heard = run.crowd.foreign_heard;
+  s.crowd.foreign_decoded = run.crowd.foreign_decoded;
 
-  if (params.trace != nullptr) {
-    params.trace->record(obs::TraceEvent{
-        params.duration_s, obs::TraceKind::kKernel, -1, -1,
-        static_cast<std::int64_t>(kernel.events_processed()),
-        static_cast<double>(kernel.events_cancelled()),
-        static_cast<double>(kernel.heap_highwater())});
-  }
   if (params.metrics != nullptr) {
+    // The engine flushed the des.* / net.* set; these are the crowd's own.
     obs::MetricsRegistry& m = *params.metrics;
     m.counter("net.crowd_runs").add(1);
     m.counter("net.crowd_bodies").add(static_cast<std::uint64_t>(bodies));
     m.counter("net.crowd_cross_offered").add(s.crowd.cross_offered);
     m.counter("net.crowd_cross_below_sensitivity")
         .add(s.crowd.cross_below_sensitivity);
-    m.counter("net.crowd_foreign_heard").add(foreign_heard);
-    m.counter("net.crowd_foreign_decoded").add(foreign_decoded);
-    m.counter("des.events").add(kernel.events_processed());
+    m.counter("net.crowd_foreign_heard").add(s.crowd.foreign_heard);
+    m.counter("net.crowd_foreign_decoded").add(s.crowd.foreign_decoded);
   }
   return out;
 }
 
 CrowdResult simulate_crowd_averaged(const model::CrowdScenario& sc,
                                     const net::SimParams& params, int runs) {
-  HI_REQUIRE(runs >= 1, "simulate_crowd_averaged: need at least one run");
-  // Same replication seeding as net::simulate_averaged — fork labels and
-  // channel-seed whitening included — so an M=1 crowd average collapses
-  // onto the single-body average bit for bit.
-  Rng seeder(params.seed);
-  Rng channel_seeder(params.channel_seed != 0 ? params.channel_seed
-                                              : params.seed);
-  CrowdResult first;
-  RunningStats pdr_acc, worst_acc, mean_acc, min_pdr_acc;
-  double events_total = 0.0;
-  std::uint64_t cross_offered = 0, cross_below = 0;
-  std::uint64_t foreign_heard = 0, foreign_decoded = 0;
-  for (int r = 0; r < runs; ++r) {
-    net::SimParams run_params = params;
-    run_params.seed = seeder.fork(static_cast<std::uint64_t>(r)).next_u64();
-    auto channel = make_crowd_channel_for(
-        sc, channel_seeder.fork(static_cast<std::uint64_t>(r)).next_u64() ^
-                0xC0FFEE);
-    CrowdResult one = simulate_crowd(sc, *channel, run_params);
-    pdr_acc.add(one.summary.pdr);
-    worst_acc.add(one.summary.worst_power_mw);
-    mean_acc.add(one.summary.mean_power_mw);
-    min_pdr_acc.add(one.summary.crowd.min_body_pdr);
-    events_total += static_cast<double>(one.summary.events);
-    cross_offered += one.summary.crowd.cross_offered;
-    cross_below += one.summary.crowd.cross_below_sensitivity;
-    foreign_heard += one.summary.crowd.foreign_heard;
-    foreign_decoded += one.summary.crowd.foreign_decoded;
-    if (r == 0) {
-      first = std::move(one);
-    }
-  }
-  CrowdResult avg = std::move(first);
-  net::SimResult& s = avg.summary;
-  s.pdr = pdr_acc.mean();
-  s.worst_power_mw = worst_acc.mean();
-  s.mean_power_mw = mean_acc.mean();
-  s.nlt_s = s.worst_power_mw > 0.0
-                ? sc.cfg.battery_j / mw_to_w(s.worst_power_mw)
-                : 0.0;
-  s.events = static_cast<std::uint64_t>(events_total);
-  s.crowd.min_body_pdr = min_pdr_acc.mean();
-  s.crowd.cross_offered = cross_offered;
-  s.crowd.cross_below_sensitivity = cross_below;
-  s.crowd.foreign_heard = foreign_heard;
-  s.crowd.foreign_decoded = foreign_decoded;
-  return avg;
+  CrowdResult first, later;
+  RunningStats min_pdr;
+  net::detail::replicate(
+      params, runs, sc.cfg.battery_j,
+      [&](int r, const net::SimParams& run_params,
+          std::uint64_t channel_seed) -> net::SimResult& {
+        CrowdResult& one = r == 0 ? first : later;
+        one = simulate_crowd(sc, *make_crowd_channel_for(sc, channel_seed),
+                             run_params);
+        const net::CrowdSummary& c = one.summary.crowd;
+        min_pdr.add(c.min_body_pdr);
+        if (r > 0) {  // run 0's coexistence counters seed the totals
+          net::CrowdSummary& total = first.summary.crowd;
+          total.cross_offered += c.cross_offered;
+          total.cross_below_sensitivity += c.cross_below_sensitivity;
+          total.foreign_heard += c.foreign_heard;
+          total.foreign_decoded += c.foreign_decoded;
+        }
+        return one.summary;
+      });
+  first.summary.crowd.min_body_pdr = min_pdr.mean();
+  return first;
 }
 
 dse::Evaluation to_evaluation(const CrowdResult& cr) {
@@ -308,6 +177,8 @@ dse::Evaluation to_evaluation(const CrowdResult& cr) {
 SweepResult sweep(const model::CrowdScenario& base, const net::SimParams& sim,
                   const SweepOptions& opt) {
   HI_REQUIRE(!opt.bodies.empty(), "crowd sweep: empty body-count list");
+  HI_REQUIRE(opt.threads >= 0,
+             "crowd sweep: threads must be >= 0, got " << opt.threads);
   const std::size_t count = opt.bodies.size();
   std::vector<model::CrowdScenario> points;
   std::vector<store::Digest> fps;

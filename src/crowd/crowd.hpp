@@ -12,9 +12,11 @@
 // Determinism contracts (DESIGN.md §15):
 //
 //   * M=1 collapse — simulate_crowd with one body is bit-identical to
-//     net::simulate: body 0's RNG lane IS params.seed, the crowd
-//     channel degenerates to the single BodyChannel, and the node
-//     stacks + metrics come from the same net::detail code.
+//     net::simulate, results and des.* / net.* counters alike: both are
+//     the one engine net::detail::run_bodies (net/node_stack.hpp), whose
+//     body 0 RNG lane IS params.seed, and the crowd channel degenerates
+//     to the single BodyChannel.  simulate_crowd adds only the canonical
+//     body order, the aggregate and the net.crowd_* counters.
 //
 //   * body-relabeling invariance — bodies are built in canonical
 //     placement order (sorted by (y, x, input index)), and each body's
@@ -22,9 +24,9 @@
 //     list permutes CrowdResult::per_body but leaves every per-body
 //     result bit-identical.
 //
-//   * thread invariance — sweep() fans points out over a thread pool
-//     but every point's randomness is derived from the sweep roots
-//     alone; results are bit-identical at any thread count.
+//   * thread invariance — sweep() fans points out over an
+//     exec::ThreadPool but every point's randomness is derived from the
+//     sweep roots alone; results are bit-identical at any thread count.
 //
 // Durability: sweep() keys each point by
 // store::crowd_point_fingerprint and serves repeats from the EvalStore
@@ -56,9 +58,9 @@ struct CrowdResult {
   /// stats summed over the body's nodes), and `crowd` is present with
   /// the coexistence counters.
   net::SimResult summary;
-  /// Full per-body results in input placement order.  Body-local node
-  /// rows, metrics from the shared net::detail::summarize_nodes — for
-  /// M == 1 per_body[0] matches the aggregate's metric fields.
+  /// Full per-body results in input placement order, as the engine
+  /// summarized them (medium / events live in the summary) — for M == 1
+  /// per_body[0] matches the aggregate's metric fields.
   std::vector<net::SimResult> per_body;
 };
 
@@ -72,15 +74,16 @@ struct CrowdResult {
 /// bodies × kNumLocations global ids works).  See the file comment for
 /// the determinism contracts; `params` is the same knob set as
 /// net::simulate, with `params.seed` as body 0's (canonical) RNG lane.
+/// params.metrics receives the engine's des.* / net.* set, summed over
+/// every body, plus the net.crowd_* counters.
 [[nodiscard]] CrowdResult simulate_crowd(const model::CrowdScenario& sc,
                                          channel::ChannelModel& channel,
                                          const net::SimParams& params);
 
 /// `runs` independent replications (fresh crowd channel + fresh seeds,
-/// derived from params exactly like net::simulate_averaged — same fork
-/// labels, same ^ 0xC0FFEE channel-seed whitening) with averaged
-/// metrics; the returned summary carries the first run's per-body rows
-/// and the replication-summed coexistence counters.
+/// from the same replication loop as net::simulate_averaged) with
+/// averaged metrics; the returned summary carries the first run's
+/// per-body rows and the replication-summed coexistence counters.
 [[nodiscard]] CrowdResult simulate_crowd_averaged(
     const model::CrowdScenario& sc, const net::SimParams& params, int runs);
 
@@ -107,7 +110,8 @@ struct SweepResult {
 struct SweepOptions {
   std::vector<int> bodies;  ///< M values, evaluated in the given order
   int runs = 3;             ///< replications per point
-  /// Worker threads fanning points out (0 = serial, identical results).
+  /// Worker threads fanning points out (0 = serial, identical results;
+  /// negative is rejected).
   int threads = 0;
   /// Durable cache; null = always simulate.  Points are keyed by
   /// crowd_point_fingerprint, fresh results are written through.

@@ -1,130 +1,36 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "common/assert.hpp"
-#include "common/units.hpp"
 #include "net/node_stack.hpp"
 
 namespace hi::net {
 
-using detail::NodeBundle;
-
 SimResult simulate(const model::NetworkConfig& cfg,
                    channel::ChannelModel& channel, const SimParams& params) {
-  const std::vector<int> locs = cfg.topology.locations();
-  const int n = static_cast<int>(locs.size());
-  HI_REQUIRE(n >= 2, "simulate: need at least 2 nodes, topology has " << n);
-  HI_REQUIRE(params.duration_s > params.gen_guard_s,
-             "simulate: duration " << params.duration_s
-                                   << " s must exceed the generation guard "
-                                   << params.gen_guard_s << " s");
-  if (cfg.routing.protocol == model::RoutingProtocol::kStar) {
-    HI_REQUIRE(cfg.topology.has(cfg.routing.coordinator),
-               "star coordinator location " << cfg.routing.coordinator
-                                            << " carries no node");
-  }
-
-  des::Kernel kernel;
-  Medium medium(kernel, channel, params.trace);
-  Rng root(params.seed);
-  std::unique_ptr<LatencyRecorder> latency;
-  if (params.collect_latency) {
-    latency = std::make_unique<LatencyRecorder>();
-  }
-
-  std::vector<std::unique_ptr<NodeBundle>> nodes;
-  nodes.reserve(static_cast<std::size_t>(n));
-  for (int k = 0; k < n; ++k) {
-    const int loc = locs[static_cast<std::size_t>(k)];
-    std::vector<int> peers;
-    peers.reserve(static_cast<std::size_t>(n) - 1);
-    for (int other : locs) {
-      if (other != loc) peers.push_back(other);
-    }
-    nodes.push_back(std::make_unique<NodeBundle>(
-        kernel, medium, loc, cfg, params,
-        /*slot_index=*/k, /*num_slots=*/n, std::move(peers),
-        root.fork(static_cast<std::uint64_t>(loc)), latency.get()));
-  }
-
-  const double gen_end = params.duration_s - params.gen_guard_s;
-  for (auto& nb : nodes) {
-    nb->mac->start();
-    nb->app->start(gen_end);
-  }
-  kernel.run_until(params.duration_s);
-
-  // ---- Metrics ------------------------------------------------------------
-  SimResult res;
-  res.duration_s = params.duration_s;
-  res.medium = medium.stats();
-  res.events = kernel.events_processed();
-  if (latency != nullptr) {
-    res.latency = latency->summary();
-  }
-
-  detail::summarize_nodes(nodes, cfg, params, res);
-
-  if (params.trace != nullptr) {
-    params.trace->record(obs::TraceEvent{
-        params.duration_s, obs::TraceKind::kKernel, -1, -1,
-        static_cast<std::int64_t>(kernel.events_processed()),
-        static_cast<double>(kernel.events_cancelled()),
-        static_cast<double>(kernel.heap_highwater())});
-  }
-  if (params.metrics != nullptr) {
-    // One atomic flush per run keeps the event loop itself free of
-    // registry traffic; the per-layer stats structs already hold the
-    // counts.  Order-independent sums, so parallel runs recording into a
-    // shared registry reach the same totals as serial ones.
-    obs::MetricsRegistry& m = *params.metrics;
-    m.counter("net.runs").add(1);
-    m.counter("des.events").add(kernel.events_processed());
-    m.counter("des.cancelled").add(kernel.events_cancelled());
-    m.gauge("des.heap_highwater")
-        .update_max(static_cast<double>(kernel.heap_highwater()));
-    m.counter("des.alloc_slabs").add(kernel.arena_chunks());
-    m.counter("des.alloc_handler_heap").add(kernel.handler_heap_allocs());
-    m.counter("des.heap_sift").add(kernel.heap_sift_steps());
-    m.counter("net.medium.transmissions").add(res.medium.transmissions);
-    m.counter("net.medium.deliveries_offered")
-        .add(res.medium.deliveries_offered);
-    m.counter("net.medium.below_sensitivity")
-        .add(res.medium.below_sensitivity);
-    std::uint64_t tx = 0, rx_ok = 0, rx_corrupted = 0, rx_missed = 0,
-                  rx_aborted = 0, enq = 0, sent = 0, drop = 0, backoffs = 0,
-                  app_sent = 0;
-    for (const NodeResult& nr : res.nodes) {
-      tx += nr.radio.tx_packets;
-      rx_ok += nr.radio.rx_ok;
-      rx_corrupted += nr.radio.rx_corrupted;
-      rx_missed += nr.radio.rx_missed;
-      rx_aborted += nr.radio.rx_aborted;
-      enq += nr.mac.enqueued;
-      sent += nr.mac.sent;
-      drop += nr.mac.dropped_buffer;
-      backoffs += nr.mac.backoffs;
-      app_sent += nr.app_sent;
-    }
-    m.counter("net.radio.tx_packets").add(tx);
-    m.counter("net.radio.rx_ok").add(rx_ok);
-    m.counter("net.radio.rx_corrupted").add(rx_corrupted);
-    m.counter("net.radio.rx_missed").add(rx_missed);
-    m.counter("net.radio.rx_aborted").add(rx_aborted);
-    m.counter("net.mac.enqueued").add(enq);
-    m.counter("net.mac.sent").add(sent);
-    m.counter("net.mac.dropped_buffer").add(drop);
-    m.counter("net.mac.backoffs").add(backoffs);
-    m.counter("net.app.sent").add(app_sent);
-    if (params.collect_latency) {
-      // Gated so latency-off runs record exactly the pre-latency counter
-      // set (counter-invariance: the fuzz suite diffs registries).
-      m.counter("net.latency_samples").add(res.latency.samples);
-      m.histogram("net.latency_p95_s").observe(res.latency.p95_s);
-    }
-  }
+  detail::BodiesRun run = detail::run_bodies(cfg, channel, params, 1);
+  SimResult res = std::move(run.bodies.front());
+  res.medium = run.medium;
+  res.events = run.events;
   return res;
+}
+
+void add_node_counts(NodeResult& into, const NodeResult& nr) {
+  into.app_sent += nr.app_sent;
+  into.radio.tx_packets += nr.radio.tx_packets;
+  into.radio.rx_ok += nr.radio.rx_ok;
+  into.radio.rx_corrupted += nr.radio.rx_corrupted;
+  into.radio.rx_missed += nr.radio.rx_missed;
+  into.radio.rx_aborted += nr.radio.rx_aborted;
+  into.mac.enqueued += nr.mac.enqueued;
+  into.mac.sent += nr.mac.sent;
+  into.mac.dropped_buffer += nr.mac.dropped_buffer;
+  into.mac.backoffs += nr.mac.backoffs;
+  into.routing.originated += nr.routing.originated;
+  into.routing.delivered += nr.routing.delivered;
+  into.routing.duplicates += nr.routing.duplicates;
+  into.routing.relayed += nr.routing.relayed;
 }
 
 ChannelFactory default_channel_factory() {
@@ -138,63 +44,42 @@ SimResult simulate_averaged(const model::NetworkConfig& cfg,
                             const ChannelFactory& make_channel,
                             RunningStats* pdr_spread,
                             RunningStats* power_spread) {
-  HI_REQUIRE(runs >= 1, "simulate_averaged: need at least one run");
-  Rng seeder(params.seed);
-  Rng channel_seeder(params.channel_seed != 0 ? params.channel_seed
-                                              : params.seed);
-  SimResult first;
-  RunningStats pdr_acc, worst_acc, mean_acc, nlt_events;
+  SimResult first, later;
   RunningStats lat_mean, lat_p50, lat_p95;
   double lat_max = 0.0;
   std::uint64_t lat_samples = 0;
-  double events_total = 0.0;
-  for (int r = 0; r < runs; ++r) {
-    SimParams run_params = params;
-    run_params.seed = seeder.fork(static_cast<std::uint64_t>(r)).next_u64();
-    auto channel = make_channel(
-        channel_seeder.fork(static_cast<std::uint64_t>(r)).next_u64() ^
-        0xC0FFEE);
-    const SimResult one = simulate(cfg, *channel, run_params);
-    if (r == 0) {
-      first = one;
-    }
-    pdr_acc.add(one.pdr);
-    worst_acc.add(one.worst_power_mw);
-    mean_acc.add(one.mean_power_mw);
-    events_total += static_cast<double>(one.events);
-    if (params.collect_latency) {
-      // Mirror the PDR treatment: mean over replications of each
-      // quantile, worst case for the max, total for the sample count.
-      lat_mean.add(one.latency.mean_s);
-      lat_p50.add(one.latency.p50_s);
-      lat_p95.add(one.latency.p95_s);
-      lat_max = std::max(lat_max, one.latency.max_s);
-      lat_samples += one.latency.samples;
-    }
-  }
+  const detail::ReplicaSpread spread = detail::replicate(
+      params, runs, cfg.battery_j,
+      [&](int r, const SimParams& run_params,
+          std::uint64_t channel_seed) -> SimResult& {
+        SimResult& one = r == 0 ? first : later;
+        one = simulate(cfg, *make_channel(channel_seed), run_params);
+        if (params.collect_latency) {
+          // Mirror the PDR treatment: mean over replications of each
+          // quantile, worst case for the max, total for the sample count.
+          lat_mean.add(one.latency.mean_s);
+          lat_p50.add(one.latency.p50_s);
+          lat_p95.add(one.latency.p95_s);
+          lat_max = std::max(lat_max, one.latency.max_s);
+          lat_samples += one.latency.samples;
+        }
+        return one;
+      });
   if (pdr_spread != nullptr) {
-    *pdr_spread = pdr_acc;
+    *pdr_spread = spread.pdr;
   }
   if (power_spread != nullptr) {
-    *power_spread = worst_acc;
+    *power_spread = spread.worst_power_mw;
   }
-  SimResult avg = first;
-  avg.pdr = pdr_acc.mean();
-  avg.worst_power_mw = worst_acc.mean();
-  avg.mean_power_mw = mean_acc.mean();
-  avg.nlt_s = avg.worst_power_mw > 0.0
-                  ? cfg.battery_j / mw_to_w(avg.worst_power_mw)
-                  : 0.0;
-  avg.events = static_cast<std::uint64_t>(events_total);
   if (params.collect_latency) {
-    avg.latency.collected = true;
-    avg.latency.samples = lat_samples;
-    avg.latency.mean_s = lat_mean.mean();
-    avg.latency.p50_s = lat_p50.mean();
-    avg.latency.p95_s = lat_p95.mean();
-    avg.latency.max_s = lat_max;
+    first.latency.collected = true;
+    first.latency.samples = lat_samples;
+    first.latency.mean_s = lat_mean.mean();
+    first.latency.p50_s = lat_p50.mean();
+    first.latency.p95_s = lat_p95.mean();
+    first.latency.max_s = lat_max;
   }
-  return avg;
+  return first;
 }
 
 }  // namespace hi::net

@@ -4,7 +4,9 @@
 // wires them through a shared Medium/channel, runs the event kernel for
 // Tsim seconds, and evaluates the paper's performance metrics:
 // per-node and network PDR (Eqs. 6-7) and per-node power / network
-// lifetime (Eq. 4).
+// lifetime (Eq. 4).  simulate() is the one-body case of the simulation
+// engine in net/node_stack.hpp, which hi::crowd runs at M bodies, and
+// simulate_averaged() shares that file's replication loop.
 #pragma once
 
 #include <functional>
@@ -65,6 +67,10 @@ struct NodeResult {
   MacStats mac;
   RoutingStats routing;
 };
+
+/// Adds `nr`'s app / radio / MAC / routing counts into `into`; the
+/// location, PDR and power fields are left alone.
+void add_node_counts(NodeResult& into, const NodeResult& nr);
 
 /// Multi-body (crowd) aggregate carried on a SimResult when the result
 /// summarizes an hi::crowd run: per-body rows then live in `nodes`

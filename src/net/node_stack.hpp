@@ -1,158 +1,60 @@
-// hi-opt: the per-node protocol stack builder and per-body metrics
-// summary shared by the single-body simulator (net::simulate) and the
-// multi-body crowd simulator (hi::crowd).
+// hi-opt: the one simulation engine — M copies ("bodies") of one
+// NetworkConfig on a shared kernel, medium and channel — and the one
+// replication loop.
 //
-// Both callers must produce bit-identical results for the same node set
-// — the crowd M=1 contract (DESIGN.md §15) says a one-body crowd run
-// reproduces the single-body golden fingerprints exactly — so the node
-// construction order, RNG fork labels, and every floating-point
-// operation of the metrics block live here, in one place, instead of
-// being duplicated and allowed to drift.
+// net::simulate is the engine at one body; crowd::simulate_crowd is the
+// engine at M bodies plus the crowd bookkeeping.  Node wiring, RNG
+// lanes, the metrics block and the counter flush exist once, so the
+// crowd M=1 contract (DESIGN.md §15) holds by construction; the two
+// averaged entry points share replicate() the same way.
 #pragma once
 
-#include <algorithm>
-#include <memory>
-#include <utility>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
-#include "common/stats.hpp"
-#include "common/units.hpp"
-#include "model/config.hpp"
-#include "net/app.hpp"
-#include "net/csma.hpp"
-#include "net/latency.hpp"
-#include "net/medium.hpp"
 #include "net/network.hpp"
-#include "net/radio.hpp"
-#include "net/routing.hpp"
-#include "net/tdma.hpp"
 
 namespace hi::net::detail {
 
-/// One fully wired node.  Construction order matters: radio -> MAC ->
-/// routing -> app, each layer installing its callbacks into the one below.
-/// `net_id`/`channel_id` default to the single-body convention (network
-/// 0, channel id == location); the crowd simulator passes the body index
-/// and the global channel id.
-struct NodeBundle {
-  NodeBundle(des::Kernel& kernel, Medium& medium, int loc,
-             const model::NetworkConfig& cfg, const SimParams& params,
-             int slot_index, int num_slots, std::vector<int> peers, Rng rng,
-             LatencyRecorder* latency, int net_id = 0, int channel_id = -1)
-      : location(loc),
-        radio(kernel, medium, loc, make_radio_params(cfg, params),
-              params.trace, net_id, channel_id) {
-    medium.attach(&radio);
-    if (cfg.mac.protocol == model::MacProtocol::kCsma) {
-      CsmaParams cs = params.csma;
-      cs.access_mode = cfg.mac.access_mode;
-      mac = std::make_unique<CsmaMac>(kernel, radio, cfg.mac.buffer_packets,
-                                      cs, rng.fork("csma"), params.trace);
-    } else {
-      TdmaParams td;
-      td.slot_s = cfg.mac.slot_s;
-      td.slot_index = slot_index;
-      td.num_slots = num_slots;
-      mac = std::make_unique<TdmaMac>(kernel, radio, cfg.mac.buffer_packets,
-                                      td, params.trace);
-    }
-    if (cfg.routing.protocol == model::RoutingProtocol::kStar) {
-      routing = std::make_unique<StarRouting>(*mac, loc,
-                                              cfg.routing.coordinator);
-    } else {
-      routing = std::make_unique<MeshRouting>(*mac, loc,
-                                              cfg.routing.max_hops);
-    }
-    app = std::make_unique<AppLayer>(kernel, *routing, cfg.app,
-                                     std::move(peers), rng.fork("app"),
-                                     latency);
-  }
-
-  static RadioParams make_radio_params(const model::NetworkConfig& cfg,
-                                       const SimParams& params) {
-    RadioParams rp;
-    rp.tx_dbm = cfg.radio.tx_dbm;
-    rp.tx_mw = cfg.radio.tx_mw;
-    rp.sensitivity_dbm = cfg.radio.rx_dbm;
-    rp.rx_mw = cfg.radio.rx_mw;
-    rp.bit_rate_bps = cfg.radio.bit_rate_bps;
-    rp.capture_db = params.capture_db;
-    return rp;
-  }
-
-  int location;
-  Radio radio;
-  std::unique_ptr<Mac> mac;
-  std::unique_ptr<Routing> routing;
-  std::unique_ptr<AppLayer> app;
+/// Outcome of one engine run.
+struct BodiesRun {
+  /// One result per body, in rank order; `medium` and `events` stay
+  /// zero here — they are run-global, see below.
+  std::vector<SimResult> bodies;
+  MediumStats medium;          ///< the shared medium
+  std::uint64_t events = 0;    ///< kernel events executed
+  RadioCrowdStats crowd;       ///< summed over every radio
 };
 
-/// Fills `res.nodes` / `res.pdr` / power / lifetime from one network's
-/// node set — Eqs. (6), (7) and (4) — and emits the end-of-run per-node
-/// trace records.  `nodes` must be exactly the nodes of one network
-/// (body): the per-pair PDR loop treats every entry as a traffic peer.
-inline void summarize_nodes(
-    const std::vector<std::unique_ptr<NodeBundle>>& nodes,
-    const model::NetworkConfig& cfg, const SimParams& params,
-    SimResult& res) {
-  RunningStats pdr_nodes;
-  for (const auto& nb : nodes) {
-    NodeResult nr;
-    nr.location = nb->location;
-    nr.app_sent = nb->app->sent();
-    nr.radio = nb->radio.stats();
-    nr.mac = nb->mac->stats();
-    nr.routing = nb->routing->stats();
-    nr.power_mw = cfg.app.baseline_mw +
-                  (nb->radio.tx_energy_mj() + nb->radio.rx_energy_mj()) /
-                      params.duration_s;
-    // Eq. (6): average per-pair delivery ratio over the other N-1
-    // origins, using per-pair sent counts N(s) i->k.
-    double acc = 0.0;
-    int terms = 0;
-    for (const auto& other : nodes) {
-      if (other->location == nb->location) continue;
-      const std::uint64_t sent = other->app->sent_to(nb->location);
-      if (sent == 0) continue;  // degenerate ultra-short run
-      acc += static_cast<double>(nb->app->received_from(other->location)) /
-             static_cast<double>(sent);
-      ++terms;
-    }
-    nr.pdr = terms > 0 ? acc / terms : 0.0;
-    pdr_nodes.add(nr.pdr);
-    if (params.trace != nullptr) {
-      // End-of-run per-node summaries: radio state dwell (derived from
-      // the metered energy, which charges packet transactions only) and
-      // the energy split itself.
-      params.trace->record(obs::TraceEvent{
-          params.duration_s, obs::TraceKind::kRadioDwell, nb->location, -1,
-          static_cast<std::int64_t>(nr.radio.tx_packets),
-          nb->radio.tx_energy_mj() / nb->radio.params().tx_mw,
-          nb->radio.rx_energy_mj() / nb->radio.params().rx_mw});
-      params.trace->record(obs::TraceEvent{
-          params.duration_s, obs::TraceKind::kNodeEnergy, nb->location, -1,
-          static_cast<std::int64_t>(nr.app_sent), nb->radio.tx_energy_mj(),
-          nb->radio.rx_energy_mj()});
-    }
-    res.nodes.push_back(nr);
-  }
-  res.pdr = pdr_nodes.mean();  // Eq. (7)
+/// Runs `bodies` copies of `cfg` for params.duration_s on one kernel
+/// (pre-sized for the whole fan-out) and one medium over `channel`.
+/// The body of rank r is network r, its node at location l is channel
+/// id r·kNumLocations + l, and its RNG lane is params.seed for r = 0
+/// (so one body is exactly the single-body run) and a "crowd.body" fork
+/// for r >= 1.  Emits the per-node and kernel trace records and flushes
+/// the full des.* / net.* counter set into params.metrics once, summed
+/// over every node of every body.
+[[nodiscard]] BodiesRun run_bodies(const model::NetworkConfig& cfg,
+                                   channel::ChannelModel& channel,
+                                   const SimParams& params, int bodies);
 
-  // Lifetime, Eq. (4): the star coordinator has its own larger energy
-  // store (paper Sec. 4.1) and is excluded; in a mesh all nodes count.
-  RunningStats powers;
-  double worst = 0.0;
-  for (const NodeResult& nr : res.nodes) {
-    const bool is_coordinator =
-        cfg.routing.protocol == model::RoutingProtocol::kStar &&
-        nr.location == cfg.routing.coordinator;
-    if (is_coordinator) continue;
-    powers.add(nr.power_mw);
-    worst = std::max(worst, nr.power_mw);
-  }
-  res.worst_power_mw = worst;
-  res.mean_power_mw = powers.mean();
-  res.nlt_s = worst > 0.0 ? cfg.battery_j / mw_to_w(worst) : 0.0;
-}
+/// Per-run samples of a replication set (simulate_averaged's spreads).
+struct ReplicaSpread {
+  RunningStats pdr, worst_power_mw;
+};
+
+/// The replication loop of both averaged entry points.  Replication
+/// r = 0 .. runs-1 calls run(r, params with r's node seed, r's channel
+/// seed), which simulates over a fresh channel and returns that run's
+/// headline SimResult.  Node seeds derive from params.seed, channel
+/// seeds from params.channel_seed (params.seed when that is 0).  The
+/// result returned for r = 0 must outlive the loop: it receives the
+/// replication means — PDR, worst and mean power, the Eq. (4) lifetime
+/// of the mean worst power on `battery_j` — and the total event count.
+ReplicaSpread replicate(
+    const SimParams& params, int runs, double battery_j,
+    const std::function<SimResult&(int r, const SimParams& run_params,
+                                   std::uint64_t channel_seed)>& run);
 
 }  // namespace hi::net::detail

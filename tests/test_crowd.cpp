@@ -1,6 +1,7 @@
 // hi::crowd behavioural contracts (DESIGN.md §15): determinism,
 // body-relabeling invariance, thread-count invariance of the sweep,
-// store-backed resume, the crowd scenario JSON codec + fingerprints,
+// the full des.* / net.* counter set of a multi-body run, sweep and
+// scenario input validation, store-backed resume, the crowd scenario JSON codec + fingerprints,
 // the evaluation crowd tail, and the kernel's pending-event
 // reservation.  Everything bitwise here is compared as uint64 bit
 // patterns — no tolerances.
@@ -220,6 +221,47 @@ TEST(Crowd, ToEvaluationCarriesHeadlineMetrics) {
   EXPECT_EQ(bits(ev.nlt_s), bits(cr.summary.nlt_s));
   EXPECT_TRUE(ev.detail.crowd.present);
   EXPECT_EQ(ev.detail.crowd.bodies, 2);
+}
+
+TEST(Crowd, MultiBodyRunRecordsTheSingleBodyCounterSet) {
+  // One engine: a crowd run flushes the same des.* / net.* set as a
+  // single-body run, summed over every node of every body.
+  const model::CrowdScenario sc = dense_crowd(4);
+  obs::MetricsRegistry metrics;
+  net::SimParams sp = short_params();
+  sp.metrics = &metrics;
+  const crowd::CrowdResult cr =
+      crowd::simulate_crowd(sc, *crowd::make_crowd_channel_for(sc, 5), sp);
+  std::uint64_t tx = 0, mac_sent = 0, app_sent = 0;
+  ASSERT_EQ(cr.summary.nodes.size(), 4u);
+  for (const net::NodeResult& row : cr.summary.nodes) {
+    tx += row.radio.tx_packets;
+    mac_sent += row.mac.sent;
+    app_sent += row.app_sent;
+  }
+  EXPECT_GT(tx, 0u);
+  EXPECT_EQ(metrics.counter("net.radio.tx_packets").value(), tx);
+  EXPECT_EQ(metrics.counter("net.mac.sent").value(), mac_sent);
+  EXPECT_EQ(metrics.counter("net.app.sent").value(), app_sent);
+  EXPECT_EQ(metrics.counter("net.medium.transmissions").value(),
+            cr.summary.medium.transmissions);
+  EXPECT_EQ(metrics.counter("des.events").value(), cr.summary.events);
+  EXPECT_EQ(metrics.counter("net.runs").value(), 1u);
+  EXPECT_EQ(metrics.counter("net.crowd_runs").value(), 1u);
+  EXPECT_EQ(metrics.counter("net.crowd_bodies").value(), 4u);
+
+  (void)crowd::simulate_crowd(sc, *crowd::make_crowd_channel_for(sc, 6), sp);
+  EXPECT_EQ(metrics.counter("net.runs").value(), 2u);
+  EXPECT_EQ(metrics.counter("net.crowd_runs").value(), 2u);
+}
+
+TEST(Crowd, SweepRejectsNegativeThreads) {
+  crowd::SweepOptions opt;
+  opt.bodies = {1};
+  opt.runs = 1;
+  opt.threads = -1;
+  EXPECT_THROW((void)crowd::sweep(dense_crowd(1), short_params(), opt),
+               ModelError);
 }
 
 TEST(Crowd, ScenarioValidationRejectsBadInput) {
