@@ -47,25 +47,11 @@ std::vector<std::string> solver_differentials(const ScenarioSpec& spec) {
       out.push_back("milp[" + std::to_string(i) + "]: " + std::move(v));
     }
   }
-  {
-    Rng gen = rng.fork("pool");
-    for (std::string& v :
-         check_pool_against_enumerator(random_pool_milp(gen))) {
-      out.push_back("pool: " + std::move(v));
-    }
-  }
-  {
-    Rng gen = rng.fork("tied_pool");
-    for (std::string& v :
-         check_tied_pool_completeness(random_tied_pool_milp(gen))) {
-      out.push_back("tied_pool: " + std::move(v));
-    }
-  }
-  {
-    Rng gen = rng.fork("cut");
-    for (std::string& v :
-         check_no_good_cut_monotone(random_small_milp(gen))) {
-      out.push_back("no_good_cut: " + std::move(v));
+  for (int i = 0; i < 3; ++i) {
+    Rng gen = rng.fork(static_cast<std::uint64_t>(200 + i));
+    const lp::Problem p = random_bounded_lp(gen);
+    for (std::string& v : check_warm_start_against_oracle(p, gen)) {
+      out.push_back("warm[" + std::to_string(i) + "]: " + std::move(v));
     }
   }
   return out;
@@ -81,25 +67,6 @@ std::vector<std::string> dse_metamorphic(const ScenarioSpec& spec) {
   std::vector<std::string> mono =
       check_pdrmin_monotone(spec.scenario, eval, {0.3, 0.6, 0.9});
   out.insert(out.end(), mono.begin(), mono.end());
-  return out;
-}
-
-/// Cheap solver-side robustness checks: the Bertsimas–Sim counterpart
-/// differential plus the Γ-protected encoding consistency.
-std::vector<std::string> robust_differentials(const ScenarioSpec& spec,
-                                              int gamma) {
-  std::vector<std::string> out;
-  Rng rng = Rng{spec.seed}.fork("check.fuzz.robust");
-  for (int i = 0; i < 2; ++i) {
-    Rng gen = rng.fork(static_cast<std::uint64_t>(i));
-    for (std::string& v : check_robust_counterpart(random_robust_milp(gen))) {
-      out.push_back("counterpart[" + std::to_string(i) + "]: " +
-                    std::move(v));
-    }
-  }
-  for (std::string& v : check_robust_encoding_levels(spec.scenario, gamma)) {
-    out.push_back("encoding: " + std::move(v));
-  }
   return out;
 }
 
@@ -119,16 +86,16 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
   const dse::RobustnessOptions robust{opt.gamma, opt.realizations, 0.95};
   const std::vector<Property> every_seed = {
       {"solver_differentials", solver_differentials},
-      {"power_cuts_monotone",
-       [](const ScenarioSpec& s) {
-         return check_power_cuts_monotone(s.scenario);
+      {"milp_levels",
+       [&robust](const ScenarioSpec& s) {
+         std::vector<std::string> out = check_milp_levels(s.scenario, 0);
+         std::vector<std::string> prot =
+             check_milp_levels(s.scenario, robust.gamma);
+         out.insert(out.end(), prot.begin(), prot.end());
+         return out;
        }},
       {"sim_invariants",
        [](const ScenarioSpec& s) { return check_sim_invariants(s, 2); }},
-      {"robust_differentials",
-       [&robust](const ScenarioSpec& s) {
-         return robust_differentials(s, robust.gamma);
-       }},
       {"robust_collapse",
        [](const ScenarioSpec& s) { return check_robust_collapse(s); }},
       {"crowd_collapse",

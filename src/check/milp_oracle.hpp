@@ -6,9 +6,8 @@
 // feasibility directly (pure-integer model) or solves the remaining
 // continuous LP exactly with the vertex oracle (mixed model).  The
 // result is the exact optimum plus the *complete set* of optimal
-// integral assignments — which is precisely what
-// milp::solve_all_optimal's no-good-cut pool claims to enumerate, so the
-// two are differentially tested against each other.
+// integral assignments, and milp::solve's assignment must be one of
+// them (check_milp_against_oracle).
 //
 // Scope: the box may contain at most `max_boxes` assignments (default
 // 2^20); mixed models additionally inherit the LP oracle's limits per

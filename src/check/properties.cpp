@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iomanip>
+#include <map>
 #include <sstream>
 #include <utility>
 
 #include "check/invariants.hpp"
 #include "check/lp_oracle.hpp"
 #include "check/milp_oracle.hpp"
-#include "check/robust_oracle.hpp"
 #include "crowd/crowd.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
@@ -127,77 +128,40 @@ milp::Model random_small_milp(Rng& rng) {
   return m;
 }
 
-milp::Model random_pool_milp(Rng& rng) {
-  milp::Model m;
-  const int nb = static_cast<int>(rng.uniform_int(3, 5));
-  for (int v = 0; v < nb; ++v) {
-    // Costs from a 5-value set: ties (and so alternative optima) are the
-    // point of this generator.
-    m.add_binary(0.5 * static_cast<double>(rng.uniform_int(-2, 2)));
-  }
-  if (rng.bernoulli(0.3)) {
-    m.add_continuous(0.0, 2.0, dyadic16(rng, -1.0, 1.0));
-  }
-  m.set_objective(rng.bernoulli(0.5) ? lp::Objective::kMinimize
-                                     : lp::Objective::kMaximize);
-  // A cardinality-style row keeps most instances feasible while still
-  // cutting off part of the hypercube.
-  std::vector<lp::Term> card;
-  for (int v = 0; v < nb; ++v) card.push_back(lp::Term{v, 1.0});
-  m.add_constraint(std::move(card),
-                   rng.bernoulli(0.5) ? lp::Sense::kLessEqual
-                                      : lp::Sense::kGreaterEqual,
-                   static_cast<double>(rng.uniform_int(1, nb - 1)));
-  if (rng.bernoulli(0.5)) {
-    m.add_constraint(random_row(rng, m.num_variables()), random_sense(rng),
-                     dyadic16(rng, -2.0, 4.0));
-  }
-  return m;
-}
+namespace {
 
-milp::Model random_tied_pool_milp(Rng& rng) {
-  milp::Model m;
-  const int nb = static_cast<int>(rng.uniform_int(3, 5));
-  // One shared cost for every selectable binary: with the symmetric
-  // cardinality row below, every k-subset is optimal, so the optimal set
-  // has C(nb, k) >= nb members before the free bit doubles it.
-  const double cost = 0.5 * static_cast<double>(rng.uniform_int(-2, 2));
-  for (int v = 0; v < nb; ++v) {
-    m.add_binary(cost);
-  }
-  // A zero-cost unconstrained binary mirrors the DSE encoding's MAC bit
-  // (absent from Eq. (9)): it doubles every optimum.
-  m.add_binary(0.0);
-  m.set_objective(rng.bernoulli(0.5) ? lp::Objective::kMinimize
-                                     : lp::Objective::kMaximize);
-  std::vector<lp::Term> card;
-  for (int v = 0; v < nb; ++v) card.push_back(lp::Term{v, 1.0});
-  m.add_constraint(std::move(card), lp::Sense::kEqual,
-                   static_cast<double>(rng.uniform_int(1, nb - 1)));
-  return m;
-}
-
-std::vector<std::string> check_lp_against_oracle(const lp::Problem& p) {
-  std::vector<std::string> out;
-  const LpOracleResult oracle = solve_lp_exact(p);
-  const lp::Solution sol = lp::solve_simplex(p);
+/// One simplex verdict against the exact one: same status, matching
+/// objective.
+void compare_to_oracle(std::vector<std::string>& out, const std::string& what,
+                       const lp::Solution& sol, const LpOracleResult& oracle) {
   if (oracle.status == OracleStatus::kInfeasible) {
     if (sol.status != lp::Status::kInfeasible) {
-      fail(out, "oracle says infeasible but simplex returned ",
+      fail(out, what, ": oracle says infeasible but simplex returned ",
            lp::to_string(sol.status));
     }
-    return out;
+    return;
   }
   if (sol.status != lp::Status::kOptimal) {
-    fail(out, "oracle optimum ", oracle.objective.to_string(),
+    fail(out, what, ": oracle optimum ", oracle.objective.to_string(),
          " but simplex returned ", lp::to_string(sol.status));
-    return out;
+    return;
   }
   const double exact = oracle.objective.to_double();
   if (std::fabs(sol.objective - exact) > kSolverTol) {
-    fail(out, "simplex objective ", sol.objective,
+    fail(out, what, ": simplex objective ", sol.objective,
          " differs from exact optimum ", oracle.objective.to_string(), " = ",
          exact);
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> check_lp_against_oracle(const lp::Problem& p) {
+  std::vector<std::string> out;
+  const lp::Solution sol = lp::solve_simplex(p);
+  compare_to_oracle(out, "simplex", sol, solve_lp_exact(p));
+  if (!out.empty() || sol.status != lp::Status::kOptimal) {
+    return out;
   }
   if (!p.is_feasible(sol.x, kSolverTol)) {
     fail(out, "simplex primal point violates the constraints");
@@ -206,6 +170,92 @@ std::vector<std::string> check_lp_against_oracle(const lp::Problem& p) {
     fail(out, "simplex objective ", sol.objective,
          " does not match its own primal point value ",
          p.objective_value(sol.x));
+  }
+  return out;
+}
+
+std::vector<std::string> check_warm_start_against_oracle(const lp::Problem& p,
+                                                         Rng& rng) {
+  std::vector<std::string> out;
+  const int nv = p.num_variables();
+  // The oracle keeps the boxes; the solver's twin has the same feasible
+  // set with some variables free or upper-bounded only and their boxes
+  // restated as rows.
+  lp::Problem box = p;
+  lp::Problem twin;
+  twin.set_objective(p.objective());
+  for (int v = 0; v < nv; ++v) {
+    const lp::Variable& var = p.variable(v);
+    const auto kind = rng.uniform_int(0, 2);  // 0 boxed, 1 free, 2 mirrored
+    twin.add_variable(kind == 0 ? var.lower : -lp::kInf,
+                      kind == 1 ? lp::kInf : var.upper, var.cost);
+  }
+  for (int r = 0; r < p.num_constraints(); ++r) {
+    const lp::Constraint& c = p.constraint(r);
+    twin.add_constraint(c.terms, c.sense, c.rhs);
+  }
+  for (int v = 0; v < nv; ++v) {
+    if (!std::isfinite(twin.variable(v).lower)) {
+      twin.add_constraint({{v, 1.0}}, lp::Sense::kGreaterEqual,
+                          p.variable(v).lower);
+    }
+    if (!std::isfinite(twin.variable(v).upper)) {
+      twin.add_constraint({{v, 1.0}}, lp::Sense::kLessEqual,
+                          p.variable(v).upper);
+    }
+  }
+  lp::Simplex warm(twin);
+  lp::Solution sol = warm.solve();
+  compare_to_oracle(out, "root", sol, solve_lp_exact(box));
+  for (int step = 0; step < 3 && sol.status == lp::Status::kOptimal; ++step) {
+    // Tighten one variable within its current box: a half-box, a point,
+    // or a box that is empty.
+    const int v = static_cast<int>(rng.uniform_index(
+        static_cast<std::size_t>(nv)));
+    const double cur_lo = box.variable(v).lower;
+    const double cur_hi = box.variable(v).upper;
+    const double cut = dyadic16(rng, cur_lo, cur_hi);
+    double lower = -lp::kInf;
+    double upper = lp::kInf;
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        lower = cut;
+        break;
+      case 1:
+        upper = cut;
+        break;
+      case 2:
+        lower = upper = cut;
+        break;
+      default:
+        lower = cur_hi + 1.0 / 16.0;
+        break;
+    }
+    std::ostringstream what;
+    what << "tightening " << step << " (x" << v << " to [" << lower << ", "
+         << upper << "])";
+    warm.tighten(v, lower, upper);
+    sol = warm.solve();
+    const double lo = std::max(lower, cur_lo);
+    const double hi = std::min(upper, cur_hi);
+    if (lo > hi) {
+      if (sol.status != lp::Status::kInfeasible) {
+        fail(out, what.str(), ": empty box but the warm simplex returned ",
+             lp::to_string(sol.status));
+      }
+      break;
+    }
+    box.set_bounds(v, lo, hi);
+    twin.set_bounds(v, std::max(lower, twin.variable(v).lower),
+                    std::min(upper, twin.variable(v).upper));
+    const LpOracleResult oracle = solve_lp_exact(box);
+    compare_to_oracle(out, what.str() + " warm", sol, oracle);
+    compare_to_oracle(out, what.str() + " cold", lp::solve_simplex(twin),
+                      oracle);
+    if (sol.status == lp::Status::kOptimal &&
+        !twin.is_feasible(sol.x, kSolverTol)) {
+      fail(out, what.str(), ": warm primal point violates the constraints");
+    }
   }
   return out;
 }
@@ -251,61 +301,55 @@ std::vector<std::string> check_milp_against_oracle(const milp::Model& m) {
   return out;
 }
 
-std::vector<std::string> check_pool_against_enumerator(const milp::Model& m) {
+std::vector<std::string> check_milp_levels(const model::Scenario& sc,
+                                           int gamma) {
   std::vector<std::string> out;
-  const MilpOracleResult oracle = solve_milp_exact(m);
-  const milp::Pool pool = milp::solve_all_optimal(m);
-  if (oracle.status == OracleStatus::kInfeasible) {
-    if (pool.status != lp::Status::kInfeasible) {
-      fail(out, "oracle says infeasible but the pool returned ",
-           lp::to_string(pool.status));
+  // Closed form: the MILP's feasible designs keyed by their protected
+  // analytic power, the same sum as the encoding's cell cost.
+  std::map<double, std::vector<std::uint64_t>> levels;
+  for (const model::NetworkConfig& cfg : sc.feasible_configs()) {
+    if (cfg.routing.protocol == model::RoutingProtocol::kStar &&
+        !cfg.topology.has(sc.coordinator)) {
+      continue;
     }
-    return out;
+    levels[model::node_power_mw(cfg) + model::robust_protection_mw(cfg, gamma)]
+        .push_back(cfg.design_key());
   }
-  if (pool.status != lp::Status::kOptimal) {
-    fail(out, "oracle optimum ", oracle.objective.to_string(),
-         " but the pool returned ", lp::to_string(pool.status));
-    return out;
+  dse::MilpEncoding enc(sc, gamma);
+  int round = 0;
+  for (auto& [level, want] : levels) {
+    const dse::MilpRound r = enc.run_milp();
+    if (r.status != lp::Status::kOptimal) {
+      fail(out, "gamma ", gamma, " round ", round, ": MILP ",
+           lp::to_string(r.status), " but ", levels.size() - round,
+           " levels remain, the cheapest at ", std::setprecision(17), level,
+           " mW");
+      return out;
+    }
+    if (r.power_mw != level) {
+      fail(out, "gamma ", gamma, " round ", round, ": power ",
+           std::setprecision(17), r.power_mw,
+           " mW is not the cheapest remaining level ", level, " mW");
+    }
+    std::vector<std::uint64_t> got;
+    got.reserve(r.candidates.size());
+    for (const model::NetworkConfig& cfg : r.candidates) {
+      got.push_back(cfg.design_key());
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    if (got != want) {
+      fail(out, "gamma ", gamma, " round ", round, ": ", got.size(),
+           " candidates, but ", want.size(),
+           " designs sit at the level (sets differ)");
+    }
+    enc.add_power_cut_above(r.power_mw);
+    ++round;
   }
-  if (pool.truncated) {
-    fail(out, "pool truncated on a small instance (",
-         pool.solutions.size(), " solutions)");
-  }
-  if (std::fabs(pool.objective - oracle.objective.to_double()) > kSolverTol) {
-    fail(out, "pool objective ", pool.objective,
-         " differs from exact optimum ", oracle.objective.to_string());
-  }
-  const std::vector<int> ints = m.integral_variables();
-  std::vector<std::vector<std::int64_t>> got;
-  got.reserve(pool.solutions.size());
-  for (const std::vector<double>& x : pool.solutions) {
-    got.push_back(rounded_assignment(ints, x));
-  }
-  std::sort(got.begin(), got.end());
-  if (std::adjacent_find(got.begin(), got.end()) != got.end()) {
-    fail(out, "pool contains duplicate binary assignments");
-  }
-  std::vector<std::vector<std::int64_t>> want = oracle.optimal_assignments;
-  std::sort(want.begin(), want.end());
-  if (got != want) {
-    fail(out, "pool enumerated ", got.size(),
-         " optimal assignments but the oracle found ", want.size(),
-         " (sets differ)");
-  }
-  return out;
-}
-
-std::vector<std::string> check_tied_pool_completeness(const milp::Model& m) {
-  std::vector<std::string> out = check_pool_against_enumerator(m);
-  if (!out.empty()) {
-    return out;
-  }
-  // The set equality above is vacuous if the tie never materialized —
-  // assert the construction actually produced alternative optima.
-  const milp::Pool pool = milp::solve_all_optimal(m);
-  if (pool.status == lp::Status::kOptimal && pool.solutions.size() < 2) {
-    fail(out, "tied-cost instance yielded ", pool.solutions.size(),
-         " optimum; the generator guarantees at least 2");
+  const dse::MilpRound last = enc.run_milp();
+  if (last.status != lp::Status::kInfeasible) {
+    fail(out, "gamma ", gamma, ": MILP ", lp::to_string(last.status),
+         " after all ", levels.size(), " levels were cut");
   }
   return out;
 }
@@ -353,162 +397,10 @@ std::vector<std::string> check_pdrmin_monotone(
   return out;
 }
 
-std::vector<std::string> check_power_cuts_monotone(const model::Scenario& sc) {
-  std::vector<std::string> out;
-  dse::MilpEncoding enc(sc);
-  const std::vector<double> levels = enc.achievable_power_levels();
-  double prev = -1.0;
-  for (int round = 0; round < 5; ++round) {
-    const dse::MilpRound r = enc.run_milp();
-    if (r.status != lp::Status::kOptimal) {
-      break;  // cuts exhausted the grid — monotone by definition
-    }
-    if (round > 0 && r.power_mw <= prev) {
-      fail(out, "round ", round, " optimum ", r.power_mw,
-           " mW did not rise above the cut level ", prev, " mW");
-    }
-    const bool on_grid =
-        std::any_of(levels.begin(), levels.end(), [&](double lvl) {
-          return std::fabs(lvl - r.power_mw) <= 1e-9 * (1.0 + lvl);
-        });
-    if (!on_grid) {
-      fail(out, "round ", round, " optimum ", r.power_mw,
-           " mW is not an achievable power level");
-    }
-    if (r.candidates.empty()) {
-      fail(out, "round ", round, " returned an optimum without candidates");
-    }
-    prev = r.power_mw;
-    enc.add_power_cut_above(r.power_mw);
-  }
-  return out;
-}
-
-std::vector<std::string> check_no_good_cut_monotone(milp::Model m) {
-  std::vector<std::string> out;
-  const std::vector<int> bins = m.binary_variables();
-  if (bins.empty()) return out;
-  const bool maximize = m.lp().objective() == lp::Objective::kMaximize;
-  milp::Solution prev = milp::solve(m);
-  for (int round = 0; round < 3 && prev.status == lp::Status::kOptimal;
-       ++round) {
-    const std::vector<std::int64_t> cut_pattern =
-        rounded_assignment(bins, prev.x);
-    std::vector<double> assignment;
-    assignment.reserve(bins.size());
-    for (int v : bins) {
-      assignment.push_back(prev.x[static_cast<std::size_t>(v)]);
-    }
-    m.add_no_good_cut(bins, assignment);
-    const milp::Solution next = milp::solve(m);
-    if (next.status == lp::Status::kInfeasible) {
-      break;  // the cut emptied the binary space — cannot improve
-    }
-    if (next.status != lp::Status::kOptimal) {
-      fail(out, "solve after no-good cut returned ",
-           lp::to_string(next.status));
-      break;
-    }
-    const double gain = maximize ? next.objective - prev.objective
-                                 : prev.objective - next.objective;
-    if (gain > kSolverTol) {
-      fail(out, "objective improved from ", prev.objective, " to ",
-           next.objective, " after a no-good cut");
-    }
-    if (rounded_assignment(bins, next.x) == cut_pattern) {
-      fail(out, "solution after a no-good cut repeats the cut assignment");
-    }
-    prev = next;
-  }
-  return out;
-}
-
 std::vector<std::string> check_thread_determinism(const ScenarioSpec& spec,
                                                   int threads) {
   return check_robust_thread_determinism(spec, threads,
                                          dse::RobustnessOptions{});
-}
-
-RobustMilpInstance random_robust_milp(Rng& rng) {
-  RobustMilpInstance inst;
-  milp::Model& m = inst.model;
-  const int nb = static_cast<int>(rng.uniform_int(3, 5));
-  for (int v = 0; v < nb; ++v) {
-    m.add_binary(dyadic16(rng, 0.0, 2.0));
-  }
-  m.set_objective(lp::Objective::kMinimize);
-  // Forcing at least one selection keeps the all-zero point (on which
-  // every Γ agrees trivially) out of the feasible set.
-  std::vector<lp::Term> card;
-  for (int v = 0; v < nb; ++v) card.push_back(lp::Term{v, 1.0});
-  m.add_constraint(std::move(card), lp::Sense::kGreaterEqual,
-                   static_cast<double>(rng.uniform_int(1, nb - 1)));
-  if (rng.bernoulli(0.5)) {
-    m.add_constraint(random_row(rng, nb), random_sense(rng),
-                     dyadic16(rng, -2.0, 4.0));
-  }
-  for (int v = 0; v < nb; ++v) {
-    if (rng.bernoulli(0.75)) {
-      inst.deviations.push_back(
-          milp::DeviationTerm{v, dyadic16(rng, 0.0, 2.0)});
-    }
-  }
-  return inst;
-}
-
-std::vector<std::string> check_robust_counterpart(
-    const RobustMilpInstance& inst) {
-  std::vector<std::string> out;
-  const int nb = inst.model.num_variables();
-  std::vector<int> bins(static_cast<std::size_t>(nb));
-  for (int v = 0; v < nb; ++v) bins[static_cast<std::size_t>(v)] = v;
-  double prev = 0.0;
-  bool have_prev = false;
-  for (const int gamma : {0, 1, 2, nb}) {
-    const RobustOracleResult oracle =
-        solve_robust_exact(inst.model, inst.deviations, gamma);
-    const milp::Model rc =
-        milp::robust_counterpart(inst.model, inst.deviations, gamma);
-    const milp::Solution sol = milp::solve(rc);
-    if (!oracle.feasible) {
-      if (sol.status != lp::Status::kInfeasible) {
-        fail(out, "gamma ", gamma,
-             ": oracle says infeasible but the counterpart returned ",
-             lp::to_string(sol.status));
-      }
-      return out;  // feasibility is Γ-independent; nothing more to sweep
-    }
-    if (sol.status != lp::Status::kOptimal) {
-      fail(out, "gamma ", gamma, ": oracle optimum ",
-           oracle.objective.to_string(), " but the counterpart returned ",
-           lp::to_string(sol.status));
-      continue;
-    }
-    const double exact = oracle.objective.to_double();
-    if (std::fabs(sol.objective - exact) > kSolverTol) {
-      fail(out, "gamma ", gamma, ": counterpart objective ", sol.objective,
-           " differs from the exact worst-case optimum ",
-           oracle.objective.to_string(), " = ", exact);
-    }
-    // The counterpart appends its auxiliaries AFTER the original
-    // binaries, so restricting x to [0, nb) recovers the design.
-    const std::vector<std::int64_t> a = rounded_assignment(bins, sol.x);
-    if (std::find(oracle.optimal_assignments.begin(),
-                  oracle.optimal_assignments.end(),
-                  a) == oracle.optimal_assignments.end()) {
-      fail(out, "gamma ", gamma,
-           ": the counterpart's binary assignment is not in the "
-           "enumerator's optimal set (",
-           oracle.optimal_assignments.size(), " assignments)");
-    }
-    if (have_prev && exact < prev - 1e-12) {
-      fail(out, "robust optimum dropped from ", prev, " to ", exact,
-           " when gamma rose to ", gamma);
-    }
-    prev = exact;
-    have_prev = true;
-  }
-  return out;
 }
 
 std::vector<std::string> check_robust_alg1_matches_exhaustive(
@@ -820,35 +712,6 @@ std::vector<std::string> check_robust_thread_determinism(
   std::vector<std::string> counter_diffs =
       diff_counters(serial.metrics, par.metrics, {"exec."});
   out.insert(out.end(), counter_diffs.begin(), counter_diffs.end());
-  return out;
-}
-
-std::vector<std::string> check_robust_encoding_levels(
-    const model::Scenario& sc, int gamma) {
-  std::vector<std::string> out;
-  dse::MilpEncoding enc(sc, gamma);
-  double prev = -1.0;
-  for (int round = 0; round < 4; ++round) {
-    const dse::MilpRound r = enc.run_milp();
-    if (r.status != lp::Status::kOptimal) {
-      break;  // cuts exhausted the protected grid
-    }
-    if (round > 0 && r.power_mw <= prev) {
-      fail(out, "gamma ", gamma, " round ", round, " optimum ", r.power_mw,
-           " mW did not rise above the cut level ", prev, " mW");
-    }
-    for (const model::NetworkConfig& cfg : r.candidates) {
-      const double expected = model::node_power_mw(cfg) +
-                              model::robust_protection_mw(cfg, gamma);
-      if (std::fabs(expected - r.power_mw) > 1e-9 * (1.0 + expected)) {
-        fail(out, "gamma ", gamma, " round ", round, ": candidate ",
-             cfg.label(), " protected analytic power ", expected,
-             " mW disagrees with the round optimum ", r.power_mw, " mW");
-      }
-    }
-    prev = r.power_mw;
-    enc.add_power_cut_above(r.power_mw);
-  }
   return out;
 }
 

@@ -4,15 +4,15 @@
 // property held), so gtest suites can assert emptiness and the fuzzer
 // can aggregate them into a seed report.  Three families:
 //
-//   differential   the floating-point solvers against the exact rational
-//                  oracles: simplex vs vertex enumeration, branch-and-
-//                  bound vs integer-box enumeration, and the no-good-cut
-//                  solution pool vs the oracle's complete optimum set.
+//   differential   the floating-point solvers against exact references:
+//                  simplex (cold and warm-started) vs rational vertex
+//                  enumeration, branch and bound vs integer-box
+//                  enumeration, and every MILP round of the DSE encoding
+//                  vs its closed-form level walk.
 //   metamorphic    known relations between whole DSE runs: Algorithm 1
 //                  must land on the exhaustive optimum; raising PDRmin
-//                  can never lower the optimal power; a power cut / a
-//                  no-good cut can never improve the objective; thread
-//                  count must not change any result bit.
+//                  can never lower the optimal power; thread count must
+//                  not change any result bit.
 //   invariant      audited_simulate (check/invariants.hpp) over sampled
 //                  feasible configurations of a scenario.
 //
@@ -30,7 +30,6 @@
 #include "dse/robustness.hpp"
 #include "lp/problem.hpp"
 #include "milp/model.hpp"
-#include "milp/robust.hpp"
 #include "obs/snapshot.hpp"
 
 namespace hi::check {
@@ -45,19 +44,6 @@ namespace hi::check {
 /// continuous variables.
 [[nodiscard]] milp::Model random_small_milp(Rng& rng);
 
-/// A pool-friendly MILP: binaries (plus optional continuous variables),
-/// no general integers, with coarsely quantized costs so ties — and
-/// hence multiple optima — are common.
-[[nodiscard]] milp::Model random_pool_milp(Rng& rng);
-
-/// A tied-cost MILP with alternative optima GUARANTEED by construction:
-/// 3..5 equal-cost binaries under a symmetric equality cardinality row
-/// (every k-subset is feasible and equally priced) plus one zero-cost
-/// free binary — the same tie pattern the DSE encoding's MAC bit
-/// produces, where the pool must enumerate both settings of a variable
-/// the objective never sees.
-[[nodiscard]] milp::Model random_tied_pool_milp(Rng& rng);
-
 // --- differential properties (exact oracles) ---------------------------
 
 /// solve_simplex(p) against the rational vertex oracle: same status,
@@ -65,24 +51,30 @@ namespace hi::check {
 [[nodiscard]] std::vector<std::string> check_lp_against_oracle(
     const lp::Problem& p);
 
+/// Warm starts against the oracle.  `p` (box-bounded) is restated with
+/// some variables free or upper-bounded only, their boxes moved into
+/// rows, and solved by an lp::Simplex; then up to three random bound
+/// tightenings of one variable each (a point, a half-box, or an empty
+/// box) are re-solved warm.  Every warm solve must match a cold
+/// solve_simplex of the same problem and the exact oracle: same status,
+/// matching objective, and a feasible primal point.
+[[nodiscard]] std::vector<std::string> check_warm_start_against_oracle(
+    const lp::Problem& p, Rng& rng);
+
 /// milp::solve(m) against the rational box oracle: same status, matching
 /// objective, and the solver's integral assignment is one of the
 /// oracle's optimal assignments.
 [[nodiscard]] std::vector<std::string> check_milp_against_oracle(
     const milp::Model& m);
 
-/// milp::solve_all_optimal(m) against the oracle: the pool's set of
-/// binary optima must equal the enumerator's complete set exactly.
-[[nodiscard]] std::vector<std::string> check_pool_against_enumerator(
-    const milp::Model& m);
-
-/// Pool completeness under objective ties: on a tied-cost instance
-/// (random_tied_pool_milp) the pool must equal the enumerator's complete
-/// optimal set AND that set must have at least two members — a pool that
-/// silently drops tied alternatives would starve the frontier sweep of
-/// candidates without failing any single-optimum differential.
-[[nodiscard]] std::vector<std::string> check_tied_pool_completeness(
-    const milp::Model& m);
+/// The DSE encoding's level walk in closed form, at deviation budget
+/// `gamma`: walking run_milp / add_power_cut_above until the MILP runs
+/// dry must visit every distinct protected analytic power of the
+/// feasible designs (star designs need the coordinator) in ascending
+/// order.  Each round's power_mw must bit-equal the cheapest remaining
+/// level and its candidates must be exactly the designs at that level.
+[[nodiscard]] std::vector<std::string> check_milp_levels(
+    const model::Scenario& sc, int gamma);
 
 // --- metamorphic DSE properties ----------------------------------------
 
@@ -100,18 +92,6 @@ namespace hi::check {
     const model::Scenario& sc, dse::Evaluator& eval,
     const std::vector<double>& pdr_mins);
 
-/// MilpEncoding power cuts: each add_power_cut_above(optimum) round
-/// yields a strictly larger optimum (or infeasibility), and every
-/// optimum is one of achievable_power_levels().
-[[nodiscard]] std::vector<std::string> check_power_cuts_monotone(
-    const model::Scenario& sc);
-
-/// Generic no-good-cut monotonicity on a random MILP: cutting the
-/// incumbent binary assignment never improves the objective, and the
-/// next solution differs in the binaries.
-[[nodiscard]] std::vector<std::string> check_no_good_cut_monotone(
-    milp::Model m);
-
 /// Exhaustive search at `threads` workers vs serial: bit-identical
 /// ExplorationResult (best point, metrics, history) and equal counter
 /// snapshots (exec.* scheduling counters excluded — see DESIGN.md §8).
@@ -120,25 +100,6 @@ namespace hi::check {
     const ScenarioSpec& spec, int threads);
 
 // --- robustness properties ---------------------------------------------
-
-/// A pure-binary minimization MILP plus per-variable objective
-/// deviations — exactly the scope milp::robust_counterpart is exact on.
-struct RobustMilpInstance {
-  milp::Model model;
-  std::vector<milp::DeviationTerm> deviations;
-};
-
-/// Dyadic random instance: 3..5 binaries, a cardinality row that keeps
-/// the all-zero point out (so Γ actually bites), deviations on most
-/// variables.  May be infeasible — that is part of the test space.
-[[nodiscard]] RobustMilpInstance random_robust_milp(Rng& rng);
-
-/// milp::robust_counterpart vs the brute-force worst-case enumerator
-/// (check/robust_oracle) across Γ ∈ {0, 1, 2, all}: matching status and
-/// objective, the solver's binary assignment is one of the enumerator's
-/// optima, and the robust optimum is nondecreasing in Γ.
-[[nodiscard]] std::vector<std::string> check_robust_counterpart(
-    const RobustMilpInstance& inst);
 
 /// Robust Algorithm 1 (sound bound) vs robust exhaustive search under
 /// the same RobustnessOptions: same feasibility, same robust optimal
@@ -175,12 +136,6 @@ struct RobustMilpInstance {
 [[nodiscard]] std::vector<std::string> check_robust_thread_determinism(
     const ScenarioSpec& spec, int threads,
     const dse::RobustnessOptions& robust);
-
-/// Γ-protected MilpEncoding: round optima rise strictly under cuts, and
-/// every candidate's analytic power + closed-form protection equals the
-/// round optimum (the encoding and model::robust_protection_mw agree).
-[[nodiscard]] std::vector<std::string> check_robust_encoding_levels(
-    const model::Scenario& sc, int gamma);
 
 // --- simulator invariants ----------------------------------------------
 

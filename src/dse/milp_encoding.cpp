@@ -43,7 +43,7 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
     name << "p" << k + 1;
     p_vars_.push_back(model_.add_binary(0.0, name.str()));
   }
-  mac_var_ = model_.add_binary(0.0, "mac_tdma");
+  model_.add_binary(0.0, "mac_tdma");  // free: Eq. (9) ignores the MAC
   rt_star_var_ = model_.add_binary(0.0, "rt_star");
   rt_mesh_var_ = model_.add_binary(0.0, "rt_mesh");
   for (int n = scenario_.min_nodes; n <= scenario_.max_nodes; ++n) {
@@ -205,9 +205,7 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
   // on the (Tx level, routing, N) cell, and the remaining degrees of
   // freedom — the placement ν and the MAC bit — are constrained solely
   // by the scenario's topological rules, which feasible_topologies()
-  // enumerates exactly.  (A general-purpose pool via no-good cuts exists
-  // in milp::solve_all_optimal; this expansion is the same set, computed
-  // without re-solving one MILP per alternative.)
+  // enumerates exactly.
   const milp::Solution sol = milp::solve(model_, effective);
   MilpRound round;
   round.status = sol.status;
@@ -215,11 +213,16 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
   if (sol.status != lp::Status::kOptimal) {
     return round;
   }
-  round.power_mw = sol.objective;
+  bool snapped = false;
   for (const Cell& cell : cells_) {
-    if (std::fabs(cell.cost_mw - round.power_mw) > epsilon_mw_ / 2.0) {
+    if (std::fabs(cell.cost_mw - sol.objective) > epsilon_mw_ / 2.0) {
       continue;  // cell not at the optimal level (ties are all expanded)
     }
+    // Distinct cell costs lie >= 2ε apart, so every matching cell has
+    // the same cost bits.  Reporting those, not the LP's rounded
+    // objective, keeps the cuts and stop tests off the pivot path.
+    round.power_mw = cell.cost_mw;
+    snapped = true;
     // Reconstruct which (level, routing, N) this cell encodes.
     const std::size_t idx = static_cast<std::size_t>(&cell - cells_.data());
     const std::size_t per_level = 2 * z_vars_.size();
@@ -244,8 +247,8 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
       }
     }
   }
-  HI_ASSERT_MSG(!round.candidates.empty(),
-                "optimal MILP level " << round.power_mw
+  HI_ASSERT_MSG(snapped && !round.candidates.empty(),
+                "optimal MILP level " << sol.objective
                                       << " expanded to no configuration");
   return round;
 }
@@ -258,34 +261,6 @@ void MilpEncoding::add_power_cut_above(double level_mw) {
   }
   model_.add_constraint(std::move(terms), lp::Sense::kGreaterEqual,
                         level_mw + epsilon_mw_, "power_cut");
-}
-
-model::NetworkConfig MilpEncoding::decode(
-    const std::vector<double>& x) const {
-  HI_REQUIRE(x.size() >= static_cast<std::size_t>(model_.num_variables()),
-             "decode: solution vector too short");
-  const auto is_one = [&](int v) {
-    return x[static_cast<std::size_t>(v)] > 0.5;
-  };
-  model::Topology topo;
-  for (int i = 0; i < channel::kNumLocations; ++i) {
-    topo.set(i, is_one(n_vars_[static_cast<std::size_t>(i)]));
-  }
-  int level = -1;
-  for (std::size_t k = 0; k < p_vars_.size(); ++k) {
-    if (is_one(p_vars_[k])) {
-      HI_ASSERT_MSG(level < 0, "multiple Tx levels selected");
-      level = static_cast<int>(k);
-    }
-  }
-  HI_ASSERT_MSG(level >= 0, "no Tx level selected");
-  const model::MacProtocol mac = is_one(mac_var_) ? model::MacProtocol::kTdma
-                                                  : model::MacProtocol::kCsma;
-  HI_ASSERT(is_one(rt_star_var_) != is_one(rt_mesh_var_));
-  const model::RoutingProtocol rt = is_one(rt_mesh_var_)
-                                        ? model::RoutingProtocol::kMesh
-                                        : model::RoutingProtocol::kStar;
-  return scenario_.make_config(topo, level, mac, rt);
 }
 
 std::vector<double> MilpEncoding::achievable_power_levels() const {

@@ -13,8 +13,8 @@
 // over the finite (k, routing, N) grid: one product indicator
 // y[k][rt][N] = p_k ∧ rt ∧ z_N per cell, with P̄ = Σ cost(cell)·y(cell)
 // and Σ y = 1.  The MAC bit does not enter Eq. (9) (the coarse model
-// ignores MAC overheads), so the alternative-optimum pool naturally
-// enumerates both MAC options for each power-optimal cell.
+// ignores MAC overheads), so every power-optimal cell yields both MAC
+// options; run_milp expands the tied optima in closed form.
 //
 // Algorithm 1's Update step (line 11) appends the cut  P̄ >= P̄* + ε
 // where ε is half the smallest gap between distinct cell costs, which
@@ -67,10 +67,6 @@ class MilpEncoding {
   /// The cut separation ε (half the smallest distinct-cost gap).
   [[nodiscard]] double epsilon_mw() const { return epsilon_mw_; }
 
-  /// Decodes a MILP solution vector into a design point.
-  [[nodiscard]] model::NetworkConfig decode(
-      const std::vector<double>& x) const;
-
   /// All distinct achievable values of the approximate power P̄ over the
   /// (tx level, routing, N) grid, ascending.  Useful for tests/benches.
   [[nodiscard]] std::vector<double> achievable_power_levels() const;
@@ -88,7 +84,6 @@ class MilpEncoding {
   milp::Model model_;
   std::vector<int> n_vars_;   ///< per location
   std::vector<int> p_vars_;   ///< per Tx level
-  int mac_var_ = -1;
   int rt_star_var_ = -1;
   int rt_mesh_var_ = -1;
   std::vector<int> z_vars_;   ///< per node count (min..max)

@@ -54,28 +54,6 @@ int Model::add_product(const std::vector<int>& binaries, std::string name) {
   return y;
 }
 
-void Model::add_no_good_cut(const std::vector<int>& vars,
-                            const std::vector<double>& assignment) {
-  HI_REQUIRE(!vars.empty(), "add_no_good_cut: no variables");
-  std::vector<lp::Term> terms;
-  terms.reserve(vars.size());
-  double rhs = 1.0;
-  for (int v : vars) {
-    HI_REQUIRE(var_type(v) == VarType::kBinary,
-               "add_no_good_cut: variable " << v << " is not binary");
-    const double a = assignment[static_cast<std::size_t>(v)];
-    HI_REQUIRE(std::fabs(a - std::round(a)) < 1e-6,
-               "add_no_good_cut: non-integral assignment " << a);
-    if (std::round(a) >= 1.0) {
-      terms.push_back({v, -1.0});
-      rhs -= 1.0;
-    } else {
-      terms.push_back({v, 1.0});
-    }
-  }
-  add_constraint(std::move(terms), lp::Sense::kGreaterEqual, rhs, "no_good");
-}
-
 VarType Model::var_type(int v) const {
   HI_REQUIRE(v >= 0 && v < num_variables(), "var_type: bad index " << v);
   return types_[static_cast<std::size_t>(v)];

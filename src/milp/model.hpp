@@ -49,12 +49,6 @@ class Model {
   /// not need to be branched on.
   int add_product(const std::vector<int>& binaries, std::string name = {});
 
-  /// Adds a no-good cut excluding the binary assignment `assignment`
-  /// restricted to the variables in `vars`:
-  ///   sum_{a_j=0} x_j + sum_{a_j=1} (1 - x_j) >= 1.
-  void add_no_good_cut(const std::vector<int>& vars,
-                       const std::vector<double>& assignment);
-
   [[nodiscard]] const lp::Problem& lp() const { return lp_; }
   [[nodiscard]] lp::Problem& lp() { return lp_; }
   [[nodiscard]] VarType var_type(int v) const;

@@ -4,179 +4,113 @@
 #include <cmath>
 #include <utility>
 
-#include "common/assert.hpp"
 #include "obs/timer.hpp"
 
 namespace hi::milp {
 
 namespace {
 
-/// Returns the index (into `ints`) of the most fractional integral
-/// variable in x, or -1 when all are integral within tol.
-int most_fractional(const std::vector<int>& ints, const std::vector<double>& x,
+/// Distance of v from the nearest integer.
+double fractionality(double v) {
+  const double frac = v - std::floor(v);
+  return std::min(frac, 1.0 - frac);
+}
+
+/// The variable to branch on: the first fractional integral variable in
+/// `priority`, else the most fractional one in `ints`; -1 when x is
+/// integral within tol.
+int branch_variable(const std::vector<int>& priority,
+                    const std::vector<int>& ints, const std::vector<double>& x,
                     double tol) {
+  for (int v : priority) {
+    if (fractionality(x[static_cast<std::size_t>(v)]) > tol &&
+        std::find(ints.begin(), ints.end(), v) != ints.end()) {
+      return v;
+    }
+  }
   int best = -1;
   double best_dist = tol;
-  for (std::size_t k = 0; k < ints.size(); ++k) {
-    const double v = x[static_cast<std::size_t>(ints[k])];
-    const double frac = v - std::floor(v);
-    const double dist = std::min(frac, 1.0 - frac);
+  for (int v : ints) {
+    const double dist = fractionality(x[static_cast<std::size_t>(v)]);
     if (dist > best_dist) {
       best_dist = dist;
-      best = static_cast<int>(k);
+      best = v;
     }
   }
   return best;
 }
 
-/// Rounds integral variables of x to the nearest integer in place.
-void snap_integrals(const std::vector<int>& ints, std::vector<double>& x) {
-  for (int v : ints) {
-    auto& xv = x[static_cast<std::size_t>(v)];
-    xv = std::round(xv);
-  }
-}
-
-struct Node {
-  std::vector<double> lo;
-  std::vector<double> hi;
-};
-
 /// The actual branch-and-bound; solve() wraps it with metric recording
 /// so every early return is covered.
 Solution solve_impl(const Model& model, const Options& opt) {
-  const lp::Problem& base = model.lp();
   const std::vector<int> ints = model.integral_variables();
-  const bool maximize = base.objective() == lp::Objective::kMaximize;
+  const bool maximize = model.lp().objective() == lp::Objective::kMaximize;
   // Internal comparisons are in minimize sense.
   const auto key = [&](double obj) { return maximize ? -obj : obj; };
 
   Solution result;
-  const bool have_cutoff = !std::isnan(opt.objective_cutoff);
-  const double cutoff_key = have_cutoff ? key(opt.objective_cutoff) : 0.0;
-  // Working copy whose integral-variable bounds are rewritten per node.
-  lp::Problem work = base;
-
-  std::vector<Node> stack;
-  {
-    Node root;
-    root.lo.reserve(ints.size());
-    root.hi.reserve(ints.size());
-    for (int v : ints) {
-      root.lo.push_back(base.variable(v).lower);
-      root.hi.push_back(base.variable(v).upper);
-    }
-    stack.push_back(std::move(root));
-  }
-
   bool have_incumbent = false;
   double incumbent_key = 0.0;
-  bool root_processed = false;
-  bool any_feasible_lp = false;
-
-  while (!stack.empty()) {
+  // Depth first: `node` is the node being solved; each pending sibling
+  // is its parent's optimal simplex with the sibling's bound applied.
+  lp::Simplex node(model.lp(), opt.lp);
+  std::vector<lp::Simplex> pending;
+  for (;;) {
     if (result.nodes >= opt.max_nodes) {
       result.status = lp::Status::kIterationLimit;
       return result;
     }
-    Node node = std::move(stack.back());
-    stack.pop_back();
     ++result.nodes;
-
-    for (std::size_t k = 0; k < ints.size(); ++k) {
-      if (node.lo[k] > node.hi[k]) {
-        goto next_node;  // empty integer box
-      }
-      work.set_bounds(ints[k], node.lo[k], node.hi[k]);
+    const lp::Solution rel = node.solve();
+    result.lp_iterations += rel.iterations;
+    if (rel.status == lp::Status::kUnbounded ||
+        rel.status == lp::Status::kIterationLimit) {
+      // An unbounded relaxation has a continuous ray (the integral
+      // variables are bounded), and every deeper node shares it.
+      result.status = rel.status;
+      return result;
     }
-    {
-      const lp::Solution rel = lp::solve_simplex(work, opt.lp);
-      result.lp_iterations += rel.iterations;
-      if (rel.status == lp::Status::kUnbounded) {
-        if (!root_processed) {
-          // Unbounded relaxation at the root: report unbounded (with
-          // integral vars bounded, this means a continuous ray exists).
-          result.status = lp::Status::kUnbounded;
-          return result;
-        }
-        // Deeper nodes share the same recession cone; treat as unbounded.
-        result.status = lp::Status::kUnbounded;
-        return result;
+    // Bound-based pruning: the relaxation can only get worse deeper.
+    const bool open = rel.status == lp::Status::kOptimal &&
+                      !(have_incumbent &&
+                        key(rel.objective) >= incumbent_key - opt.gap_tol);
+    const int var =
+        open ? branch_variable(opt.branch_priority, ints, rel.x, opt.int_tol)
+             : -1;
+    if (open && var < 0) {
+      // Integral: new incumbent (strictly better, by the pruning test).
+      have_incumbent = true;
+      incumbent_key = key(rel.objective);
+      result.x = rel.x;
+      for (int v : ints) {
+        result.x[static_cast<std::size_t>(v)] =
+            std::round(result.x[static_cast<std::size_t>(v)]);
       }
-      root_processed = true;
-      if (rel.status == lp::Status::kIterationLimit) {
-        result.status = rel.status;
-        return result;
-      }
-      if (rel.status == lp::Status::kInfeasible) {
-        goto next_node;
-      }
-      any_feasible_lp = true;
-      // Bound-based pruning: the relaxation can only get worse deeper.
-      if (have_incumbent && key(rel.objective) >= incumbent_key - opt.gap_tol) {
-        goto next_node;
-      }
-      if (have_cutoff && key(rel.objective) > cutoff_key + opt.gap_tol) {
-        goto next_node;  // cannot reach the requested objective level
-      }
-      int frac_k = -1;
-      for (int pv : opt.branch_priority) {
-        const double v = rel.x[static_cast<std::size_t>(pv)];
-        const double frac = v - std::floor(v);
-        if (std::min(frac, 1.0 - frac) > opt.int_tol) {
-          // Map the variable index back into the ints list.
-          for (std::size_t k = 0; k < ints.size(); ++k) {
-            if (ints[k] == pv) {
-              frac_k = static_cast<int>(k);
-              break;
-            }
-          }
-          if (frac_k >= 0) break;
-        }
-      }
-      if (frac_k < 0) {
-        frac_k = most_fractional(ints, rel.x, opt.int_tol);
-      }
-      if (frac_k < 0) {
-        // Integral: new incumbent (strictly better, by the pruning test).
-        std::vector<double> x = rel.x;
-        snap_integrals(ints, x);
-        have_incumbent = true;
-        incumbent_key = key(rel.objective);
-        result.x = std::move(x);
-        result.objective = rel.objective;
-        if (have_cutoff && incumbent_key <= cutoff_key + opt.gap_tol) {
-          // At or better than the requested level: optimal by definition.
-          result.status = lp::Status::kOptimal;
-          return result;
-        }
-        goto next_node;
-      }
-      // Branch.  Explore the child nearest the fractional value first
-      // (pushed last so it pops first).
-      const int var = ints[static_cast<std::size_t>(frac_k)];
+      result.objective = rel.objective;
+    }
+    if (var >= 0) {
+      // Branch.  The child nearest the fractional value goes first, in
+      // place; its sibling waits with a copy of this node's basis.
       const double v = rel.x[static_cast<std::size_t>(var)];
-      Node down = node;
-      down.hi[static_cast<std::size_t>(frac_k)] = std::floor(v);
-      Node up = node;
-      up.lo[static_cast<std::size_t>(frac_k)] = std::ceil(v);
-      if (v - std::floor(v) <= 0.5) {
-        stack.push_back(std::move(up));
-        stack.push_back(std::move(down));
+      const double down = std::floor(v);
+      const double up = std::ceil(v);
+      const bool down_first = v - down <= 0.5;
+      pending.push_back(node);
+      if (down_first) {
+        pending.back().tighten(var, up, lp::kInf);
+        node.tighten(var, -lp::kInf, down);
       } else {
-        stack.push_back(std::move(down));
-        stack.push_back(std::move(up));
+        pending.back().tighten(var, -lp::kInf, down);
+        node.tighten(var, up, lp::kInf);
       }
+      continue;
     }
-  next_node:;
+    if (pending.empty()) break;
+    node = std::move(pending.back());
+    pending.pop_back();
   }
-
-  if (have_incumbent) {
-    result.status = lp::Status::kOptimal;
-  } else {
-    result.status = lp::Status::kInfeasible;
-    (void)any_feasible_lp;
-  }
+  result.status =
+      have_incumbent ? lp::Status::kOptimal : lp::Status::kInfeasible;
   return result;
 }
 
@@ -193,62 +127,6 @@ Solution solve(const Model& model, const Options& opt) {
         .add(static_cast<std::uint64_t>(result.lp_iterations));
   }
   return result;
-}
-
-Pool solve_all_optimal(const Model& model, const Options& opt,
-                       int max_solutions) {
-  for (int v : model.integral_variables()) {
-    HI_REQUIRE(model.var_type(v) == VarType::kBinary,
-               "solve_all_optimal: variable "
-                   << v << " is general-integer; the no-good enumeration "
-                          "requires binary integrality");
-  }
-  Pool pool;
-  Model work = model;  // cuts accumulate here
-  const std::vector<int> bins = work.binary_variables();
-
-  Solution first = solve(work, opt);
-  pool.nodes += first.nodes;
-  pool.lp_iterations += first.lp_iterations;
-  pool.status = first.status;
-  if (first.status != lp::Status::kOptimal) {
-    return pool;
-  }
-  pool.objective = first.objective;
-
-  const bool maximize = model.lp().objective() == lp::Objective::kMaximize;
-  const auto is_optimal = [&](double obj) {
-    return maximize ? obj >= pool.objective - opt.gap_tol
-                    : obj <= pool.objective + opt.gap_tol;
-  };
-
-  // Alternative optima need only *reach* the known optimum, not re-prove
-  // it: set the cutoff so each subsequent solve stops at its first hit.
-  Options dive = opt;
-  dive.objective_cutoff = pool.objective;
-
-  Solution cur = std::move(first);
-  while (true) {
-    pool.solutions.push_back(cur.x);
-    if (static_cast<int>(pool.solutions.size()) >= max_solutions) {
-      pool.truncated = true;
-      return pool;
-    }
-    work.add_no_good_cut(bins, cur.x);
-    cur = solve(work, dive);
-    pool.nodes += cur.nodes;
-    pool.lp_iterations += cur.lp_iterations;
-    if (cur.status == lp::Status::kInfeasible) {
-      return pool;  // no more integer points at all
-    }
-    if (cur.status != lp::Status::kOptimal) {
-      pool.status = cur.status;  // surface the failure
-      return pool;
-    }
-    if (!is_optimal(cur.objective)) {
-      return pool;  // next-best level reached; pool complete
-    }
-  }
 }
 
 }  // namespace hi::milp

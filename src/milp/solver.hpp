@@ -1,14 +1,13 @@
-// hi-opt: branch-and-bound MILP solver with alternative-optimum
-// enumeration (a "solution pool").
+// hi-opt: branch-and-bound MILP solver.
 //
-// RunMILP in Algorithm 1 needs *all* configurations that attain the
-// minimum of the approximate power model, because configurations with
-// equal analytic power can differ wildly in simulated PDR.
-// solve_all_optimal() therefore first finds the optimum, then enumerates
-// the remaining optima with no-good cuts over the binary variables.
+// Depth-first branch and bound over lp::Simplex.  A child node restarts
+// from its parent's optimal basis: the child explored next tightens the
+// parent's simplex in place and re-solves it with the dual simplex, and
+// only the pending sibling keeps a copy.  Algorithm 1's RunMILP needs
+// the optimal objective level; the DSE encoding expands the tied optima
+// at that level in closed form (dse/milp_encoding.hpp).
 #pragma once
 
-#include <limits>
 #include <vector>
 
 #include "lp/simplex.hpp"
@@ -27,12 +26,6 @@ struct Options {
   /// fractional variables are branched most-fractional-first.  Useful
   /// when a few structural binaries determine the objective.
   std::vector<int> branch_priority;
-  /// When finite: prune nodes whose relaxation bound is worse than this
-  /// objective value, and return the FIRST integral solution at least
-  /// this good (it is optimal by construction).  This is how the
-  /// solution pool avoids re-proving optimality for every alternative
-  /// optimum.  NaN (default) disables the cutoff.
-  double objective_cutoff = std::numeric_limits<double>::quiet_NaN();
   /// When non-null, every solve records `milp.solves`, `milp.bnb_nodes`,
   /// `milp.lp_pivots` counters and the `milp.solve_s` timing histogram
   /// (obs::MetricsRegistry; see DESIGN.md §8).  Null = no recording.
@@ -45,28 +38,10 @@ struct Solution {
   double objective = 0.0;
   std::vector<double> x;
   int nodes = 0;           ///< branch-and-bound nodes processed
-  int lp_iterations = 0;   ///< total simplex pivots across all nodes
-};
-
-/// Result of alternative-optimum enumeration.
-struct Pool {
-  lp::Status status = lp::Status::kIterationLimit;
-  double objective = 0.0;                   ///< shared optimal value
-  std::vector<std::vector<double>> solutions;  ///< distinct binary optima
-  int nodes = 0;
-  int lp_iterations = 0;   ///< total simplex pivots across all solves
-  bool truncated = false;  ///< hit max_solutions before exhausting optima
+  int lp_iterations = 0;   ///< total simplex iterations across all nodes
 };
 
 /// Solves the MILP to optimality by branch and bound.
 [[nodiscard]] Solution solve(const Model& model, const Options& opt = {});
-
-/// Enumerates all optimal solutions that differ in their *binary*
-/// variables.  The model must not contain general-integer variables (the
-/// no-good enumeration scheme requires 0/1 support); continuous variables
-/// are fine since the binaries determine them in our encodings.
-[[nodiscard]] Pool solve_all_optimal(const Model& model,
-                                     const Options& opt = {},
-                                     int max_solutions = 1024);
 
 }  // namespace hi::milp

@@ -6,9 +6,8 @@
 // worst lifetime-relevant node power, maximize the network PDR, and
 // minimize the p95 end-to-end delay (net/latency.hpp).  A FrontBuilder
 // ingests evaluated design points from any producer — the exhaustive
-// sweep, the MILP solution pool's alternative-optima sets, or a warm
-// hi::store with zero re-simulation — and maintains the non-dominated
-// set.
+// sweep, a MILP round's tied optima, or a warm hi::store with zero
+// re-simulation — and maintains the non-dominated set.
 //
 // Dominance semantics: point a dominates point b when a is no worse on
 // all three objectives and strictly better on at least one.  Two

@@ -1,7 +1,8 @@
 // Tier-1 metamorphic properties of the DSE layer on generated scenarios:
 // Algorithm 1 must land on the exhaustive optimum, raising PDRmin can
-// never lower the optimal power, MILP power cuts walk the achievable
-// level grid upward, and thread counts {1, 4} leave every result and
+// never lower the optimal power, MILP power cuts walk every achievable
+// level upward (nominal and Γ-protected, checked against the closed
+// form), and thread counts {1, 4} leave every result and
 // every (non-scheduling) counter bit-identical.
 #include <gtest/gtest.h>
 
@@ -39,8 +40,10 @@ TEST(Metamorphic, RaisingPdrMinNeverLowersOptimalPower) {
 TEST(Metamorphic, PowerCutsWalkTheLevelGridUpward) {
   for (const std::uint64_t seed : {4201ULL, 4202ULL, 4203ULL, 4204ULL}) {
     const ScenarioSpec spec = make_scenario(seed);
-    expect_clean(check_power_cuts_monotone(spec.scenario), spec,
-                 "power_cuts_monotone");
+    for (const int gamma : {0, 1, 2}) {
+      expect_clean(check_milp_levels(spec.scenario, gamma), spec,
+                   "milp_levels");
+    }
   }
 }
 

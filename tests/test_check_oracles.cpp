@@ -1,9 +1,8 @@
 // Tier-1 tests of the hi::check exact oracles: rational arithmetic
 // (overflow-checked __int128 limbs), the LP vertex-enumeration oracle,
 // the MILP integer-box enumerator, and the differential properties they
-// power — including the solution-pool-vs-enumerator sweep (the pool's
-// no-good-cut enumeration must return *exactly* the brute-force set of
-// alternative optima on 50 random seeds).
+// power: the simplex and branch and bound against the exact verdicts on
+// 40 random seeds each.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -156,33 +155,6 @@ TEST(Differential, BranchAndBoundAgreesWithOracleOnRandomMilps) {
     Rng rng(seed ^ 0xABCDULL);
     const milp::Model m = random_small_milp(rng);
     for (const std::string& v : check_milp_against_oracle(m)) {
-      ADD_FAILURE() << "seed " << seed << ": " << v;
-    }
-  }
-}
-
-TEST(Differential, PoolMatchesBruteForceEnumeratorOn50Seeds) {
-  int nontrivial = 0;
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed ^ 0x9000ULL);
-    const milp::Model m = random_pool_milp(rng);
-    for (const std::string& v : check_pool_against_enumerator(m)) {
-      ADD_FAILURE() << "seed " << seed << ": " << v;
-    }
-    if (solve_milp_exact(m).optimal_assignments.size() > 1) {
-      ++nontrivial;
-    }
-  }
-  // The generator must actually exercise multi-optimum pools, or the
-  // property would be vacuous.
-  EXPECT_GT(nontrivial, 10);
-}
-
-TEST(Differential, NoGoodCutNeverImprovesObjective) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed ^ 0xC0DEULL);
-    for (const std::string& v :
-         check_no_good_cut_monotone(random_small_milp(rng))) {
       ADD_FAILURE() << "seed " << seed << ": " << v;
     }
   }

@@ -3,7 +3,11 @@
 // LPs in up to 4 variables the solver must agree with the oracle on
 // status and objective (the oracle is exact — every vertex is solved in
 // rational arithmetic, so there is no reference-implementation noise).
-// Also pins the Bland anti-cycling fallback: with the Dantzig stall
+// Warm starts get the same treatment: after random bound tightenings
+// (half-boxes, points, empty boxes; free and upper-bounded-only
+// variables included) the dual-simplex re-solve must match a cold solve
+// and the oracle.  Also pins the Bland anti-cycling fallback: with the
+// Dantzig stall
 // budget forced to one pivot, a degenerate LP must still reach the exact
 // optimum, report its Bland pivots, and surface the work through the
 // milp.lp_pivots counter.
@@ -13,6 +17,7 @@
 
 #include "check/lp_oracle.hpp"
 #include "check/properties.hpp"
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
@@ -48,6 +53,73 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpExact,
                                            Case{213}, Case{214}, Case{215},
                                            Case{216}, Case{217}, Case{218},
                                            Case{219}, Case{220}));
+
+class RandomLpWarmStart : public ::testing::TestWithParam<Case> {};
+
+TEST_P(RandomLpWarmStart, MatchesColdSolveAndOracle) {
+  Rng rng = Rng{GetParam().seed}.fork("test.lp.warm");
+  for (int i = 0; i < 8; ++i) {
+    const Problem p = check::random_bounded_lp(rng, /*max_vars=*/4);
+    for (const std::string& v : check::check_warm_start_against_oracle(p, rng)) {
+      ADD_FAILURE() << "seed " << GetParam().seed << " instance " << i << ": "
+                    << v;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpWarmStart,
+                         ::testing::Values(Case{301}, Case{302}, Case{303},
+                                           Case{304}, Case{305}, Case{306},
+                                           Case{307}, Case{308}, Case{309},
+                                           Case{310}, Case{311}, Case{312},
+                                           Case{313}, Case{314}, Case{315},
+                                           Case{316}, Case{317}, Case{318},
+                                           Case{319}, Case{320}));
+
+TEST(LpWarmStart, BranchChildrenRestartFromTheParentBasis) {
+  // max 2x + y  s.t.  x + y <= 1.5,  x, y in [0, 1]:  x = 1, y = 0.5.
+  Problem p;
+  p.set_objective(Objective::kMaximize);
+  const int x = p.add_variable(0.0, 1.0, 2.0);
+  const int y = p.add_variable(0.0, 1.0, 1.0);
+  p.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::kLessEqual, 1.5);
+  Simplex root(p);
+  const Solution parent = root.solve();
+  ASSERT_EQ(parent.status, Status::kOptimal);
+  EXPECT_NEAR(parent.objective, 2.5, 1e-9);
+  EXPECT_NEAR(parent.x[y], 0.5, 1e-9);
+
+  // Both branches on y keep the basis dual feasible; each child is one
+  // dual pivot away and lands on its own optimum.
+  Simplex down = root;
+  down.tighten(y, -kInf, 0.0);
+  const Solution d = down.solve();
+  ASSERT_EQ(d.status, Status::kOptimal);
+  EXPECT_NEAR(d.objective, 2.0, 1e-9);
+  EXPECT_NEAR(d.x[x], 1.0, 1e-9);
+  EXPECT_NEAR(d.x[y], 0.0, 1e-9);
+
+  Simplex up = root;
+  up.tighten(y, 1.0, kInf);
+  const Solution u = up.solve();
+  ASSERT_EQ(u.status, Status::kOptimal);
+  EXPECT_NEAR(u.objective, 2.0, 1e-9);
+  EXPECT_NEAR(u.x[x], 0.5, 1e-9);
+  EXPECT_NEAR(u.x[y], 1.0, 1e-9);
+  EXPECT_LE(u.iterations, 1);
+
+  // A grandchild whose rows cannot hold: x >= 1 and y >= 1 break
+  // x + y <= 1.5, and the dual simplex proves it.
+  up.tighten(x, 1.0, kInf);
+  EXPECT_EQ(up.solve().status, Status::kInfeasible);
+  // A crossed box is infeasible without a pivot.
+  down.tighten(x, 0.75, 0.5);
+  const Solution empty = down.solve();
+  EXPECT_EQ(empty.status, Status::kInfeasible);
+  EXPECT_EQ(empty.iterations, 0);
+  // A failed state cannot be re-solved.
+  EXPECT_THROW((void)down.solve(), ModelError);
+}
 
 TEST(LpExact, KnownThreeVarOptimum) {
   // max x + 2y + 3z  s.t.  x+y+z <= 2, y+z <= 1.5, bounds [0,1]^3.

@@ -6,8 +6,6 @@
 //     (the sound-cut argument, checked differentially on generated
 //     scenarios);
 //   - monotonicity of the robust optimum in Γ and in K;
-//   - the Bertsimas–Sim counterpart vs the brute-force worst-case
-//     enumerator on random dyadic MILPs;
 //   - bit-identical confidence intervals at any thread count;
 //   - per-(design, seed) store round-trip: a warm restart of a robust
 //     campaign re-simulates NOTHING, and a kill/resume fleet holds
@@ -139,17 +137,6 @@ TEST(RobustDse, OptimumMonotoneInGammaAndRealizations) {
   const std::vector<std::string> violations =
       check::check_robust_monotone(spec, {0, 1, 2, 4}, {1, 2, 3});
   EXPECT_TRUE(violations.empty()) << violations.front();
-}
-
-TEST(RobustDse, CounterpartMatchesWorstCaseEnumerator) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng = Rng{seed}.fork("test.robust.counterpart");
-    const check::RobustMilpInstance inst = check::random_robust_milp(rng);
-    const std::vector<std::string> violations =
-        check::check_robust_counterpart(inst);
-    EXPECT_TRUE(violations.empty())
-        << "seed " << seed << ": " << violations.front();
-  }
 }
 
 TEST(RobustDse, ConfidenceIntervalBitIdenticalAtAnyThreadCount) {
