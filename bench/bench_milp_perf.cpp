@@ -19,6 +19,7 @@
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "model/design_space.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -86,21 +87,41 @@ void dse_milp_round(bench::BenchReport& rep, int reps, int rounds) {
                static_cast<std::uint64_t>(rounds), wall);
 }
 
+/// One full level walk on the paper scenario: every round until the
+/// MILP runs dry.
+void walk_all_levels(const model::Scenario& scenario,
+                     const milp::Options& opt) {
+  dse::MilpEncoding enc(scenario);
+  for (;;) {
+    const dse::MilpRound r = enc.run_milp(opt);
+    if (r.status != lp::Status::kOptimal) break;
+    g_sink = g_sink + 1;
+    enc.add_power_cut_above(r.power_mw);
+  }
+}
+
 void dse_milp_all_levels(bench::BenchReport& rep, int reps, int sweeps) {
   const model::Scenario scenario;
   const double wall = bench::time_best_of(reps, [&] {
     for (int i = 0; i < sweeps; ++i) {
-      dse::MilpEncoding enc(scenario);
-      for (;;) {
-        const dse::MilpRound r = enc.run_milp();
-        if (r.status != lp::Status::kOptimal) break;
-        g_sink = g_sink + 1;
-        enc.add_power_cut_above(r.power_mw);
-      }
+      walk_all_levels(scenario, {});
     }
   });
   rep.add_rate("dse_milp_all_levels", "sweeps/s",
                static_cast<std::uint64_t>(sweeps), wall);
+  // The walk's pivot and node counts are deterministic: exact rows, so
+  // any change to the pivot path shows up as a baseline diff.
+  obs::MetricsRegistry metrics;
+  milp::Options counted;
+  counted.metrics = &metrics;
+  walk_all_levels(scenario, counted);
+  for (const char* row : {"lp_pivots", "bnb_nodes"}) {
+    const std::uint64_t n =
+        metrics.counter(std::string("milp.") + row).value();
+    rep.add(bench::BenchMetric{std::string("dse_milp_all_levels_") + row,
+                               "count", static_cast<double>(n), "exact", true,
+                               n, 0.0});
+  }
 }
 
 }  // namespace

@@ -47,6 +47,13 @@ std::vector<std::string> solver_differentials(const ScenarioSpec& spec) {
       out.push_back("milp[" + std::to_string(i) + "]: " + std::move(v));
     }
   }
+  for (int i = 0; i < 2; ++i) {
+    Rng gen = rng.fork(static_cast<std::uint64_t>(300 + i));
+    const milp::Model m = random_small_milp(gen);
+    for (std::string& v : check_milp_warm_against_oracle(m, gen)) {
+      out.push_back("milp_warm[" + std::to_string(i) + "]: " + std::move(v));
+    }
+  }
   for (int i = 0; i < 3; ++i) {
     Rng gen = rng.fork(static_cast<std::uint64_t>(200 + i));
     const lp::Problem p = random_bounded_lp(gen);

@@ -75,6 +75,22 @@ std::vector<std::int64_t> rounded_assignment(const std::vector<int>& vars,
   return a;
 }
 
+/// A random tightening at `cut` of a variable whose box ends at cur_hi:
+/// a half-box, a point, or a box that is empty.
+std::pair<double, double> random_tightening(Rng& rng, double cur_hi,
+                                            double cut) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return {cut, lp::kInf};
+    case 1:
+      return {-lp::kInf, cut};
+    case 2:
+      return {cut, cut};
+    default:
+      return {cur_hi + 1.0 / 16.0, lp::kInf};
+  }
+}
+
 }  // namespace
 
 lp::Problem random_bounded_lp(Rng& rng, int max_vars) {
@@ -215,22 +231,7 @@ std::vector<std::string> check_warm_start_against_oracle(const lp::Problem& p,
     const double cur_lo = box.variable(v).lower;
     const double cur_hi = box.variable(v).upper;
     const double cut = dyadic16(rng, cur_lo, cur_hi);
-    double lower = -lp::kInf;
-    double upper = lp::kInf;
-    switch (rng.uniform_int(0, 3)) {
-      case 0:
-        lower = cut;
-        break;
-      case 1:
-        upper = cut;
-        break;
-      case 2:
-        lower = upper = cut;
-        break;
-      default:
-        lower = cur_hi + 1.0 / 16.0;
-        break;
-    }
+    const auto [lower, upper] = random_tightening(rng, cur_hi, cut);
     std::ostringstream what;
     what << "tightening " << step << " (x" << v << " to [" << lower << ", "
          << upper << "])";
@@ -260,25 +261,30 @@ std::vector<std::string> check_warm_start_against_oracle(const lp::Problem& p,
   return out;
 }
 
-std::vector<std::string> check_milp_against_oracle(const milp::Model& m) {
-  std::vector<std::string> out;
-  const MilpOracleResult oracle = solve_milp_exact(m);
-  const milp::Solution sol = milp::solve(m);
+namespace {
+
+/// One branch-and-bound verdict on `m` against the exact one: same
+/// status, matching objective, and an integral assignment in the
+/// oracle's optimal set.
+void compare_to_milp_oracle(std::vector<std::string>& out,
+                            const std::string& what, const milp::Model& m,
+                            const milp::Solution& sol,
+                            const MilpOracleResult& oracle) {
   if (oracle.status == OracleStatus::kInfeasible) {
     if (sol.status != lp::Status::kInfeasible) {
-      fail(out, "oracle says infeasible but milp::solve returned ",
+      fail(out, what, ": oracle says infeasible but branch and bound returned ",
            lp::to_string(sol.status));
     }
-    return out;
+    return;
   }
   if (sol.status != lp::Status::kOptimal) {
-    fail(out, "oracle optimum ", oracle.objective.to_string(),
-         " but milp::solve returned ", lp::to_string(sol.status));
-    return out;
+    fail(out, what, ": oracle optimum ", oracle.objective.to_string(),
+         " but branch and bound returned ", lp::to_string(sol.status));
+    return;
   }
   const double exact = oracle.objective.to_double();
   if (std::fabs(sol.objective - exact) > kSolverTol) {
-    fail(out, "milp::solve objective ", sol.objective,
+    fail(out, what, ": objective ", sol.objective,
          " differs from exact optimum ", oracle.objective.to_string(), " = ",
          exact);
   }
@@ -286,17 +292,71 @@ std::vector<std::string> check_milp_against_oracle(const milp::Model& m) {
   for (int v : ints) {
     const double xv = sol.x[static_cast<std::size_t>(v)];
     if (std::fabs(xv - std::round(xv)) > 1e-5) {
-      fail(out, "milp::solve variable ", v, " = ", xv, " is not integral");
+      fail(out, what, ": variable ", v, " = ", xv, " is not integral");
     }
   }
   const std::vector<std::int64_t> a = rounded_assignment(ints, sol.x);
   if (std::find(oracle.optimal_assignments.begin(),
                 oracle.optimal_assignments.end(),
                 a) == oracle.optimal_assignments.end()) {
-    fail(out,
-         "milp::solve's integral assignment is not in the oracle's optimal "
-         "set (",
+    fail(out, what,
+         ": the integral assignment is not in the oracle's optimal set (",
          oracle.optimal_assignments.size(), " assignments)");
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> check_milp_against_oracle(const milp::Model& m) {
+  std::vector<std::string> out;
+  compare_to_milp_oracle(out, "milp::solve", m, milp::solve(m),
+                         solve_milp_exact(m));
+  return out;
+}
+
+std::vector<std::string> check_milp_warm_against_oracle(const milp::Model& m,
+                                                        Rng& rng) {
+  std::vector<std::string> out;
+  // `box` carries every tightening: the oracle and the cold solves read
+  // it, and so would the solver's own cold root.
+  milp::Model box = m;
+  milp::Solver warm(box);
+  milp::Solution sol = warm.solve();
+  compare_to_milp_oracle(out, "root", box, sol, solve_milp_exact(box));
+  const int nv = box.num_variables();
+  for (int step = 0; step < 3 && sol.status == lp::Status::kOptimal; ++step) {
+    // Tighten one variable within its current box: a half-box, a point,
+    // or a box that is empty.  Integral variables are cut at integers.
+    const int v = static_cast<int>(rng.uniform_index(
+        static_cast<std::size_t>(nv)));
+    const double cur_lo = box.lp().variable(v).lower;
+    const double cur_hi = box.lp().variable(v).upper;
+    const double cut =
+        box.var_type(v) == milp::VarType::kContinuous
+            ? dyadic16(rng, cur_lo, cur_hi)
+            : static_cast<double>(rng.uniform_int(std::llround(cur_lo),
+                                                  std::llround(cur_hi)));
+    const auto [lower, upper] = random_tightening(rng, cur_hi, cut);
+    std::ostringstream what;
+    what << "tightening " << step << " (x" << v << " to [" << lower << ", "
+         << upper << "])";
+    warm.tighten(v, lower, upper);
+    const double lo = std::max(lower, cur_lo);
+    const double hi = std::min(upper, cur_hi);
+    if (lo > hi) {
+      sol = warm.solve();
+      if (sol.status != lp::Status::kInfeasible) {
+        fail(out, what.str(), ": empty box but the warm solver returned ",
+             lp::to_string(sol.status));
+      }
+      break;
+    }
+    box.lp().set_bounds(v, lo, hi);
+    sol = warm.solve();
+    const MilpOracleResult oracle = solve_milp_exact(box);
+    compare_to_milp_oracle(out, what.str() + " warm", box, sol, oracle);
+    compare_to_milp_oracle(out, what.str() + " cold", box, milp::solve(box),
+                           oracle);
   }
   return out;
 }

@@ -6,9 +6,10 @@
 //
 //   differential   the floating-point solvers against exact references:
 //                  simplex (cold and warm-started) vs rational vertex
-//                  enumeration, branch and bound vs integer-box
-//                  enumeration, and every MILP round of the DSE encoding
-//                  vs its closed-form level walk.
+//                  enumeration, branch and bound (cold and warm
+//                  re-solved) vs integer-box enumeration, and every
+//                  MILP round of the DSE encoding vs its closed-form
+//                  level walk.
 //   metamorphic    known relations between whole DSE runs: Algorithm 1
 //                  must land on the exhaustive optimum; raising PDRmin
 //                  can never lower the optimal power; thread count must
@@ -66,6 +67,16 @@ namespace hi::check {
 /// oracle's optimal assignments.
 [[nodiscard]] std::vector<std::string> check_milp_against_oracle(
     const milp::Model& m);
+
+/// milp::Solver's warm re-solves against the box oracle.  `m` is solved
+/// through one persistent solver, then up to three random bound
+/// tightenings of one variable each (a point, a half-box, or an empty
+/// box) are re-solved from the last optimal root.  Every result must
+/// match a cold milp::solve of the tightened model and the oracle: same
+/// status, matching objective, and an integral assignment in the
+/// oracle's optimal set.
+[[nodiscard]] std::vector<std::string> check_milp_warm_against_oracle(
+    const milp::Model& m, Rng& rng);
 
 /// The DSE encoding's level walk in closed form, at deviation budget
 /// `gamma`: walking run_milp / add_power_cut_above until the MILP runs

@@ -121,9 +121,7 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
         const int y = model_.add_product(
             {p_vars_[static_cast<std::size_t>(k)], rt_var, z_vars_[zi]},
             name.str());
-        const double cost = cell_cost_mw(k, rt, n_nodes);
-        model_.set_cost(y, cost);
-        cells_.push_back(Cell{y, cost});
+        cells_.push_back(Cell{y, cell_cost_mw(k, rt, n_nodes)});
         y_sum.push_back({y, 1.0});
         by_level[static_cast<std::size_t>(k)].push_back({y, 1.0});
         (rt == model::RoutingProtocol::kStar ? by_star : by_mesh)
@@ -157,6 +155,19 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
     terms.push_back({z_vars_[zi], -1.0});
     model_.add_constraint(std::move(terms), lp::Sense::kEqual, 0.0,
                           "cell_count_link");
+  }
+
+  // --- The power column P̄ = Σ cost·y, the objective ------------------------
+  // Algorithm 1's cuts raise its lower bound, so the model keeps its shape
+  // for the whole walk and each round re-solves the last root warm.
+  pbar_var_ = model_.add_continuous(0.0, lp::kInf, 1.0, "pbar");
+  {
+    std::vector<lp::Term> terms{{pbar_var_, 1.0}};
+    for (const Cell& c : cells_) {
+      terms.push_back({c.y_var, -c.cost_mw});
+    }
+    model_.add_constraint(std::move(terms), lp::Sense::kEqual, 0.0,
+                          "pbar_def");
   }
 
   // --- Cut separation ε -----------------------------------------------------
@@ -206,7 +217,7 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
   // freedom — the placement ν and the MAC bit — are constrained solely
   // by the scenario's topological rules, which feasible_topologies()
   // enumerates exactly.
-  const milp::Solution sol = milp::solve(model_, effective);
+  const milp::Solution sol = solver_.solve(effective);
   MilpRound round;
   round.status = sol.status;
   round.bnb_nodes = sol.nodes;
@@ -254,13 +265,10 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
 }
 
 void MilpEncoding::add_power_cut_above(double level_mw) {
-  std::vector<lp::Term> terms;
-  terms.reserve(cells_.size());
-  for (const Cell& c : cells_) {
-    terms.push_back({c.y_var, c.cost_mw});
-  }
-  model_.add_constraint(std::move(terms), lp::Sense::kGreaterEqual,
-                        level_mw + epsilon_mw_, "power_cut");
+  const double lower = std::max(model_.lp().variable(pbar_var_).lower,
+                                level_mw + epsilon_mw_);
+  model_.lp().set_bounds(pbar_var_, lower, lp::kInf);
+  solver_.tighten(pbar_var_, lower, lp::kInf);
 }
 
 std::vector<double> MilpEncoding::achievable_power_levels() const {

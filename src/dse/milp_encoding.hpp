@@ -11,14 +11,18 @@
 // The approximate power P̄ of Eq. (9) is nonlinear in (p, rt, N) — the
 // mesh term carries NreTx(N) = N²-4N+5 — so it is linearized exactly
 // over the finite (k, routing, N) grid: one product indicator
-// y[k][rt][N] = p_k ∧ rt ∧ z_N per cell, with P̄ = Σ cost(cell)·y(cell)
-// and Σ y = 1.  The MAC bit does not enter Eq. (9) (the coarse model
-// ignores MAC overheads), so every power-optimal cell yields both MAC
-// options; run_milp expands the tied optima in closed form.
+// y[k][rt][N] = p_k ∧ rt ∧ z_N per cell and Σ y = 1.  One continuous
+// column P̄ >= 0 is the objective, tied to the cells by the row
+// P̄ - Σ cost(cell)·y(cell) = 0.  The MAC bit does not enter Eq. (9) (the
+// coarse model ignores MAC overheads), so every power-optimal cell yields
+// both MAC options; run_milp expands the tied optima in closed form.
 //
-// Algorithm 1's Update step (line 11) appends the cut  P̄ >= P̄* + ε
-// where ε is half the smallest gap between distinct cell costs, which
-// exactly removes the current optimum level and nothing more.
+// Algorithm 1's Update step (line 11) is the cut  P̄ >= P̄* + ε, where ε
+// is half the smallest gap between distinct cell costs, which exactly
+// removes the current optimum level and nothing more.  The cut raises
+// P̄'s lower bound, so the model keeps its shape for the whole walk, and
+// the encoding's milp::Solver re-solves the previous round's root with
+// the dual simplex instead of starting cold.
 #pragma once
 
 #include <vector>
@@ -38,7 +42,9 @@ struct MilpRound {
 };
 
 /// See file comment.  One encoding instance lives across all Algorithm-1
-/// iterations, accumulating power cuts.
+/// iterations, accumulating power cuts.  Its solver keeps the root
+/// between rounds, so the LP options (milp::Options::lp) of the first
+/// round hold for the whole walk.
 class MilpEncoding {
  public:
   /// `gamma` > 0 builds the Γ-robust counterpart (DESIGN.md §13): every
@@ -61,7 +67,8 @@ class MilpEncoding {
   [[nodiscard]] MilpRound run_milp(const milp::Options& opt = {},
                                    int max_solutions = 4096);
 
-  /// Appends the cut P̄ >= level + ε (Update step).
+  /// The cut P̄ >= level + ε (Update step): raises P̄'s lower bound to
+  /// level + ε unless an earlier cut already put it higher.
   void add_power_cut_above(double level_mw);
 
   /// The cut separation ε (half the smallest distinct-cost gap).
@@ -92,7 +99,9 @@ class MilpEncoding {
     double cost_mw;  ///< P̄ when this cell is active
   };
   std::vector<Cell> cells_;
+  int pbar_var_ = -1;  ///< the power column P̄, the objective
   double epsilon_mw_ = 0.0;
+  milp::Solver solver_{model_};  ///< keeps the root across rounds
 };
 
 }  // namespace hi::dse

@@ -8,7 +8,8 @@
 // from the last optimal basis with the dual simplex: a bound change
 // keeps the basis dual feasible, so only the primal infeasibility it
 // causes needs repair.  This is how branch-and-bound children restart
-// from their parent (milp/solver.cpp).  Dantzig's rule with a Bland
+// from their parent, and how a MILP root is re-solved after a DSE
+// round's power cut (milp/solver.hpp).  Dantzig's rule with a Bland
 // anti-cycling fallback throughout, so every phase terminates.
 //
 // The tableau is dense and the pivots are sparse: sized for the
@@ -52,11 +53,15 @@ struct SimplexOptions {
   /// fallback takes over; 0 => automatic (20 * (rows + columns)).
   /// Tests set it to 1 to force the fallback on degenerate problems.
   int dantzig_stall_budget = 0;
+
+  bool operator==(const SimplexOptions&) const = default;
 };
 
 /// One problem's simplex state; see the file comment.
 class Simplex {
  public:
+  /// An empty slot, to be assigned a Simplex before it is solved.
+  Simplex() = default;
   explicit Simplex(const Problem& p, const SimplexOptions& opt = {});
 
   /// Intersects variable v's bounds with [lower, upper].  An empty

@@ -2,9 +2,10 @@
 //
 // A thin layer over hi::lp::Problem that marks variables as continuous,
 // binary, or general-integer, and offers the linearization helpers the
-// DSE encoding needs (products of binaries).  Constraints can be added
-// after a solve — Algorithm 1 adds objective-level cuts between
-// iterations — because every solve starts from the model's current state.
+// DSE encoding needs (products of binaries).  A cold solve reads the
+// model's current state, so rows and bounds may change between solves;
+// Algorithm 1's objective-level cut is a bound on the encoding's power
+// column, which milp::Solver re-solves warm (milp/solver.hpp).
 #pragma once
 
 #include <string>

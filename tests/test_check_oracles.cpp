@@ -160,5 +160,15 @@ TEST(Differential, BranchAndBoundAgreesWithOracleOnRandomMilps) {
   }
 }
 
+TEST(Differential, WarmBranchAndBoundAgreesWithOracleOnRandomMilps) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed ^ 0x5EEDULL);
+    const milp::Model m = random_small_milp(rng);
+    for (const std::string& v : check_milp_warm_against_oracle(m, rng)) {
+      ADD_FAILURE() << "seed " << seed << ": " << v;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hi::check

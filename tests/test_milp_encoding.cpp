@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "model/power.hpp"
@@ -103,6 +105,86 @@ TEST(MilpEncoding, RunsDryAfterAllLevels) {
   }
   // Every achievable power level is visited exactly once.
   EXPECT_EQ(rounds, static_cast<int>(levels.size()));
+}
+
+/// A round's answer: status, power bits and sorted candidate keys.
+struct RoundKey {
+  lp::Status status;
+  double power_mw;
+  std::vector<std::uint64_t> keys;
+  bool operator==(const RoundKey&) const = default;
+};
+
+RoundKey key_of(const MilpRound& r) {
+  RoundKey k{r.status, r.power_mw, {}};
+  for (const auto& cfg : r.candidates) k.keys.push_back(cfg.design_key());
+  std::sort(k.keys.begin(), k.keys.end());
+  return k;
+}
+
+TEST(MilpEncoding, ModelKeepsItsShapeAcrossTheWalk) {
+  // A cut is a bound on the power column, not a new row.
+  model::Scenario sc;
+  MilpEncoding enc(sc);
+  const int vars = enc.model().num_variables();
+  const int rows = enc.model().num_constraints();
+  EXPECT_EQ(vars, 38);
+  EXPECT_EQ(rows, 91);
+  int rounds = 0;
+  for (; rounds < 100; ++rounds) {
+    const MilpRound r = enc.run_milp();
+    if (r.status != lp::Status::kOptimal) break;
+    enc.add_power_cut_above(r.power_mw);
+    EXPECT_EQ(enc.model().num_variables(), vars);
+    EXPECT_EQ(enc.model().num_constraints(), rows);
+  }
+  EXPECT_EQ(rounds, 18);
+}
+
+TEST(MilpEncoding, CutBelowAnEarlierCutChangesNothing) {
+  model::Scenario sc;
+  MilpEncoding plain(sc);
+  MilpEncoding extra(sc);
+  const MilpRound p1 = plain.run_milp();
+  const MilpRound e1 = extra.run_milp();
+  plain.add_power_cut_above(p1.power_mw);
+  extra.add_power_cut_above(e1.power_mw);
+  const MilpRound p2 = plain.run_milp();
+  const MilpRound e2 = extra.run_milp();
+  plain.add_power_cut_above(p2.power_mw);
+  extra.add_power_cut_above(e2.power_mw);
+  extra.add_power_cut_above(e1.power_mw);  // below the cut just made
+  const MilpRound p3 = plain.run_milp();
+  const MilpRound e3 = extra.run_milp();
+  EXPECT_EQ(key_of(e3), key_of(p3));
+  EXPECT_EQ(e3.bnb_nodes, p3.bnb_nodes);
+}
+
+TEST(MilpEncoding, WarmWalkMatchesFreshEncodingsRoundByRound) {
+  // Every round of one warm walk equals a cold encoding that is given
+  // only the cut just before that round.
+  for (const int gamma : {0, 2}) {
+    model::Scenario sc;
+    MilpEncoding warm(sc, gamma);
+    double cut = -1.0;  // no cut before the first round
+    for (int round = 0;; ++round) {
+      SCOPED_TRACE(::testing::Message() << "gamma " << gamma << " round "
+                                        << round);
+      MilpEncoding fresh(sc, gamma);
+      if (round > 0) fresh.add_power_cut_above(cut);
+      const MilpRound w = warm.run_milp();
+      EXPECT_EQ(key_of(w), key_of(fresh.run_milp()));
+      if (w.status != lp::Status::kOptimal) {
+        EXPECT_EQ(w.status, lp::Status::kInfeasible);
+        EXPECT_EQ(round, static_cast<int>(
+                             warm.achievable_power_levels().size()));
+        break;
+      }
+      ASSERT_LT(round, 100);
+      cut = w.power_mw;
+      warm.add_power_cut_above(cut);
+    }
+  }
 }
 
 TEST(MilpEncoding, AchievableLevelsAreSortedDistinct) {
