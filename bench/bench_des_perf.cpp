@@ -1,7 +1,8 @@
 // Microbenchmarks of the discrete-event simulator: kernel event
 // throughput (schedule/run, self-rescheduling, cancellation churn),
 // end-to-end WBAN simulation speed per configuration class on the paper
-// scenario, and channel sampling cost.  These numbers bound how large a
+// scenario, a cohort of designs sharing channel seeds (the explorer's
+// pattern), and channel sampling cost.  These numbers bound how large a
 // Tsim / design space the explorer can afford; the committed baseline
 // (BENCH_des_perf.json) is the repo's perf trajectory for the hot path
 // (DESIGN.md §11).
@@ -20,6 +21,7 @@
 #include "channel/channel.hpp"
 #include "crowd/crowd.hpp"
 #include "des/kernel.hpp"
+#include "dse/evaluator.hpp"
 #include "model/crowd.hpp"
 #include "model/design_space.hpp"
 #include "net/network.hpp"
@@ -146,6 +148,36 @@ void simulate_crowd_class(bench::BenchReport& rep, int reps, int bodies,
                wall);
 }
 
+/// The explorer's pattern: the first 40 feasible designs of the paper
+/// scenario × 3 runs at Tsim 5 s through one Evaluator, so every design
+/// faces the same channel seeds (common random numbers) and reads their
+/// shared fade tapes.  Each repetition starts a fresh default channel
+/// factory, so building the tapes is inside the timed region.  Same
+/// Tsim in quick mode, so the event count is exact-gated in both.
+void simulate_cohort(bench::BenchReport& rep, int reps) {
+  const std::vector<model::NetworkConfig> space =
+      model::Scenario{}.feasible_configs();
+  const std::vector<model::NetworkConfig> cohort(space.begin(),
+                                                 space.begin() + 40);
+  dse::EvaluatorSettings s;
+  s.sim.duration_s = 5.0;
+  s.sim.seed = 2017;
+  s.runs = 3;
+  std::uint64_t events = 0;
+  const double wall = bench::time_best_of(reps, [&] {
+    s.channel = net::default_channel_factory();
+    dse::Evaluator eval(s);
+    events = 0;
+    for (const model::NetworkConfig& cfg : cohort) {
+      events += eval.evaluate(cfg).detail.events;
+    }
+  });
+  rep.add_rate("sim_cohort", "events/s", events, wall);
+  rep.add(bench::BenchMetric{"sim_cohort_events", "count",
+                             static_cast<double>(events), "exact", true,
+                             events, 0.0});
+}
+
 void channel_sample(bench::BenchReport& rep, int reps, std::int64_t n) {
   auto ch = channel::make_default_body_channel(3);
   double acc = 0.0;
@@ -186,6 +218,7 @@ int main() {
   simulate_class(rep, reps, /*mesh=*/true, /*tdma=*/true, tsim_s);
   simulate_crowd_class(rep, reps, /*bodies=*/2, /*tsim_s=*/60.0);
   simulate_crowd_class(rep, reps, /*bodies=*/8, /*tsim_s=*/60.0);
+  simulate_cohort(rep, reps);
   channel_sample(rep, reps, quick ? 200'000 : 1'000'000);
 
   rep.write(std::cout);

@@ -6,17 +6,31 @@
 
 namespace hi::channel {
 
+NormalTape::NormalTape(Rng stream, std::size_t n) : rest_(stream) {
+  draws_.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    draws_.push_back(rest_.normal());
+  }
+}
+
 GaussMarkovFade::GaussMarkovFade(GaussMarkovParams params, Rng rng)
     : params_(params), rng_(rng) {
   HI_REQUIRE(params_.sigma_db >= 0.0, "sigma must be non-negative");
   HI_REQUIRE(params_.tau_s > 0.0, "tau must be positive");
 }
 
+GaussMarkovFade::GaussMarkovFade(GaussMarkovParams params,
+                                 const NormalTape& tape)
+    : GaussMarkovFade(params, tape.rest()) {
+  tape_ = tape.draws().data();
+  tape_size_ = tape.draws().size();
+}
+
 double GaussMarkovFade::sample_db(double t) {
   if (!initialized_) {
     initialized_ = true;
     last_t_ = t;
-    delta_db_ = rng_.normal(0.0, params_.sigma_db);
+    delta_db_ = normal(params_.sigma_db);
     return delta_db_;
   }
   HI_ASSERT_MSG(t >= last_t_, "time went backwards: " << t << " < " << last_t_);
@@ -27,7 +41,7 @@ double GaussMarkovFade::sample_db(double t) {
   }
   const double rho = std::exp(-dt / params_.tau_s);
   const double innovation_sd = params_.sigma_db * std::sqrt(1.0 - rho * rho);
-  delta_db_ = rho * delta_db_ + rng_.normal(0.0, innovation_sd);
+  delta_db_ = rho * delta_db_ + normal(innovation_sd);
   return delta_db_;
 }
 

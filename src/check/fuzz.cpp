@@ -107,24 +107,39 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
        [](const ScenarioSpec& s) { return check_robust_collapse(s); }},
       {"crowd_collapse",
        [](const ScenarioSpec& s) { return check_crowd_collapse(s); }},
+      {"fade_tape",
+       [](const ScenarioSpec& s) {
+         Rng rng = Rng{s.seed}.fork("check.fade_tape");
+         std::vector<std::string> out;
+         for (int i = 0; i < 4 && out.empty(); ++i) out = check_fade_tape(rng);
+         return out;
+       }},
   };
   const std::vector<Property> rotated = {
       {"alg1_vs_exhaustive+pdrmin_monotone", dse_metamorphic},
-      {"thread_determinism",
-       [](const ScenarioSpec& s) { return check_thread_determinism(s, 4); }},
+      {"thread_determinism+tape_cache",
+       [](const ScenarioSpec& s) {
+         std::vector<std::string> out = check_thread_determinism(s, 4);
+         std::vector<std::string> tapes = check_tape_cache_invisible(s, 4);
+         out.insert(out.end(), tapes.begin(), tapes.end());
+         return out;
+       }},
       {"robust_alg1_vs_exhaustive",
        [&robust](const ScenarioSpec& s) {
          dse::Evaluator eval(s.settings);
          return check_robust_alg1_matches_exhaustive(s.scenario, eval, 0.8,
                                                      robust);
        }},
-      {"robust_monotone+thread_determinism",
+      {"robust_monotone+thread_determinism+tape_cache",
        [&robust](const ScenarioSpec& s) {
          std::vector<std::string> out = check_robust_monotone(
              s, {0, robust.gamma}, {1, robust.realizations});
          std::vector<std::string> det =
              check_robust_thread_determinism(s, 4, robust);
          out.insert(out.end(), det.begin(), det.end());
+         std::vector<std::string> tapes =
+             check_tape_cache_invisible(s, 4, robust);
+         out.insert(out.end(), tapes.begin(), tapes.end());
          return out;
        }},
   };

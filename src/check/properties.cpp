@@ -1,6 +1,7 @@
 #include "check/properties.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
@@ -11,6 +12,7 @@
 #include "check/invariants.hpp"
 #include "check/lp_oracle.hpp"
 #include "check/milp_oracle.hpp"
+#include "channel/channel.hpp"
 #include "crowd/crowd.hpp"
 #include "dse/explorer.hpp"
 #include "dse/milp_encoding.hpp"
@@ -414,6 +416,99 @@ std::vector<std::string> check_milp_levels(const model::Scenario& sc,
   return out;
 }
 
+namespace {
+
+/// A non-decreasing walk of sample times: the same time again (dt = 0)
+/// one step in four, otherwise up to two time constants later.
+/// `draws` counts the innovations a fade sampled at every time has used.
+struct TimeWalk {
+  double t;
+  std::size_t draws = 1;  // the first sample's stationary draw
+
+  void step(Rng& rng, double tau_s) {
+    if (rng.bernoulli(0.25)) return;
+    const double next = t + rng.uniform(0.0, 2.0 * tau_s);
+    draws += next > t ? 1 : 0;
+    t = next;
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+std::vector<std::string> check_fade_tape(Rng& rng) {
+  std::vector<std::string> out;
+  const Rng stream{rng.next_u64()};
+  // Short tapes, odd lengths included (the stream then holds a spare
+  // normal past the tape), so every trajectory runs off the end.
+  const auto len = static_cast<std::size_t>(rng.uniform_int(0, 40));
+  const std::size_t past_end = len + 8;
+  const channel::GaussMarkovParams gm{rng.uniform(0.0, 12.0),
+                                      rng.uniform(0.05, 3.0)};
+
+  const channel::NormalTape tape(stream, len);
+  channel::GaussMarkovFade plain(gm, stream);
+  channel::GaussMarkovFade taped(gm, tape);
+  for (TimeWalk w{rng.uniform(0.0, 2.0)}; w.draws <= past_end;
+       w.step(rng, gm.tau_s)) {
+    const double a = plain.sample_db(w.t);
+    const double b = taped.sample_db(w.t);
+    if (!same_bits(a, b) || !same_bits(plain.current_db(), taped.current_db())) {
+      fail(out, "fade (sigma ", gm.sigma_db, ", tau ", gm.tau_s, ", tape ",
+           len, ") differs at draw ", w.draws, ", t ", w.t, ": ", a, " vs ",
+           b);
+      return out;
+    }
+  }
+
+  // The body channel: random receiver sets through the batch call, plus
+  // one focus link sampled every step in a random orientation, which
+  // runs off the end of its tape.
+  channel::BodyChannelParams bp;
+  bp.tau_s = gm.tau_s;
+  channel::BodyChannel plain_ch(channel::calibrated_body_path_loss(), bp,
+                                stream);
+  channel::BodyChannel taped_ch(channel::calibrated_body_path_loss(), bp,
+                                channel::make_body_tapes(stream, len));
+  constexpr int kN = channel::kNumLocations;
+  const auto fa = static_cast<int>(rng.uniform_index(kN));
+  const auto fb = static_cast<int>((fa + 1 + rng.uniform_index(kN - 1)) % kN);
+  std::vector<int> locs(kN);
+  for (int i = 0; i < kN; ++i) locs[static_cast<std::size_t>(i)] = i;
+  double pa[kN], pb[kN];
+  for (TimeWalk w{rng.uniform(0.0, 2.0)}; w.draws <= past_end;
+       w.step(rng, gm.tau_s)) {
+    for (std::size_t i = locs.size(); i > 1; --i) {
+      std::swap(locs[i - 1], locs[rng.uniform_index(i)]);
+    }
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, kN));
+    const auto tx = static_cast<int>(rng.uniform_index(kN));
+    plain_ch.path_loss_batch_db(tx, locs.data(), n, w.t, pa);
+    taped_ch.path_loss_batch_db(tx, locs.data(), n, w.t, pb);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (!same_bits(pa[r], pb[r])) {
+        fail(out, "body channel batch (tape ", len, ") differs on link ", tx,
+             "->", locs[r], ", t ", w.t, ": ", pa[r], " vs ", pb[r]);
+        return out;
+      }
+    }
+    const bool flip = rng.bernoulli(0.5);
+    const int i = flip ? fb : fa;
+    const int j = flip ? fa : fb;
+    const double a = plain_ch.path_loss_db(i, j, w.t);
+    const double b = taped_ch.path_loss_db(i, j, w.t);
+    if (!same_bits(a, b)) {
+      fail(out, "body channel (tape ", len, ") differs on link ", i, "->", j,
+           " at draw ", w.draws, ", t ", w.t, ": ", a, " vs ", b);
+      return out;
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> check_alg1_matches_exhaustive(
     const model::Scenario& sc, dse::Evaluator& eval, double pdr_min) {
   // Nominal is the Γ=0, K=1 case of the one evaluation path.
@@ -716,52 +811,43 @@ std::vector<std::string> check_robust_monotone(
   return out;
 }
 
-std::vector<std::string> check_robust_thread_determinism(
-    const ScenarioSpec& spec, int threads,
-    const dse::RobustnessOptions& robust) {
-  std::vector<std::string> out;
-  const auto run_at = [&](int t) {
-    dse::EvaluatorSettings s = spec.settings;
-    s.threads = t;
-    dse::Evaluator eval(s);
-    dse::ExplorationOptions opt;
-    opt.pdr_min = 0.8;
-    opt.robust = robust;
-    return dse::run_exhaustive(spec.scenario, eval, opt);
-  };
-  const dse::ExplorationResult serial = run_at(0);
-  const dse::ExplorationResult par = run_at(threads);
-  if (serial.feasible != par.feasible) {
-    fail(out, "feasibility differs at ", threads, " threads");
+namespace {
+
+/// Bit-for-bit comparison of two exhaustive runs of one scenario: best
+/// point, metrics (CI bounds and protection included), history and
+/// counters (exec.* scheduling counters excluded).  `how` names the
+/// second run's setup in each violation.
+void diff_runs(std::vector<std::string>& out, const dse::ExplorationResult& a,
+               const dse::ExplorationResult& b, const std::string& how) {
+  if (a.feasible != b.feasible) {
+    fail(out, "feasibility differs ", how);
   }
-  if (serial.feasible && serial.best.design_key() != par.best.design_key()) {
-    fail(out, "best design differs at ", threads, " threads: ",
-         serial.best.label(), " vs ", par.best.label());
+  if (a.feasible && a.best.design_key() != b.best.design_key()) {
+    fail(out, "best design differs ", how, ": ", a.best.label(), " vs ",
+         b.best.label());
   }
   // Exact double comparisons: determinism is bit-identical or broken.
-  if (serial.best_power_mw != par.best_power_mw ||
-      serial.best_pdr != par.best_pdr ||
-      serial.best_nlt_s != par.best_nlt_s ||
-      serial.best_pdr_lo != par.best_pdr_lo ||
-      serial.best_pdr_hi != par.best_pdr_hi ||
-      serial.best_protection_mw != par.best_protection_mw) {
-    fail(out, "best metrics (incl. CI) differ at ", threads, " threads");
+  if (a.best_power_mw != b.best_power_mw || a.best_pdr != b.best_pdr ||
+      a.best_nlt_s != b.best_nlt_s || a.best_pdr_lo != b.best_pdr_lo ||
+      a.best_pdr_hi != b.best_pdr_hi ||
+      a.best_protection_mw != b.best_protection_mw) {
+    fail(out, "best metrics (incl. CI) differ ", how);
   }
-  if (serial.simulations != par.simulations) {
-    fail(out, "simulation counts differ at ", threads, " threads: ",
-         serial.simulations, " vs ", par.simulations);
+  if (a.simulations != b.simulations) {
+    fail(out, "simulation counts differ ", how, ": ", a.simulations, " vs ",
+         b.simulations);
   }
-  if (serial.history.size() != par.history.size()) {
-    fail(out, "history lengths differ at ", threads, " threads");
+  if (a.history.size() != b.history.size()) {
+    fail(out, "history lengths differ ", how);
   } else {
-    for (std::size_t i = 0; i < serial.history.size(); ++i) {
-      const dse::CandidateRecord& a = serial.history[i];
-      const dse::CandidateRecord& b = par.history[i];
-      if (a.cfg.design_key() != b.cfg.design_key() ||
-          a.sim_pdr != b.sim_pdr || a.sim_power_mw != b.sim_power_mw ||
-          a.sim_nlt_s != b.sim_nlt_s || a.pdr_lo != b.pdr_lo ||
-          a.pdr_hi != b.pdr_hi) {
-        fail(out, "history entry ", i, " differs at ", threads, " threads");
+    for (std::size_t i = 0; i < a.history.size(); ++i) {
+      const dse::CandidateRecord& x = a.history[i];
+      const dse::CandidateRecord& y = b.history[i];
+      if (x.cfg.design_key() != y.cfg.design_key() ||
+          x.sim_pdr != y.sim_pdr || x.sim_power_mw != y.sim_power_mw ||
+          x.sim_nlt_s != y.sim_nlt_s || x.pdr_lo != y.pdr_lo ||
+          x.pdr_hi != y.pdr_hi) {
+        fail(out, "history entry ", i, " differs ", how);
         break;
       }
     }
@@ -770,8 +856,49 @@ std::vector<std::string> check_robust_thread_determinism(
   // depths) and are legitimately thread-dependent; everything else must
   // match exactly.
   std::vector<std::string> counter_diffs =
-      diff_counters(serial.metrics, par.metrics, {"exec."});
+      diff_counters(a.metrics, b.metrics, {"exec."});
   out.insert(out.end(), counter_diffs.begin(), counter_diffs.end());
+}
+
+/// Exhaustive search of `spec` at PDRmin 0.8 through `channel`.
+dse::ExplorationResult exhaustive_with(const ScenarioSpec& spec,
+                                       net::ChannelFactory channel,
+                                       int threads,
+                                       const dse::RobustnessOptions& robust) {
+  dse::EvaluatorSettings s = spec.settings;
+  s.channel = std::move(channel);
+  s.threads = threads;
+  dse::Evaluator eval(s);
+  dse::ExplorationOptions opt;
+  opt.pdr_min = 0.8;
+  opt.robust = robust;
+  return dse::run_exhaustive(spec.scenario, eval, opt);
+}
+
+}  // namespace
+
+std::vector<std::string> check_robust_thread_determinism(
+    const ScenarioSpec& spec, int threads,
+    const dse::RobustnessOptions& robust) {
+  std::vector<std::string> out;
+  diff_runs(out, exhaustive_with(spec, spec.settings.channel, 0, robust),
+            exhaustive_with(spec, spec.settings.channel, threads, robust),
+            "at " + std::to_string(threads) + " threads");
+  return out;
+}
+
+std::vector<std::string> check_tape_cache_invisible(
+    const ScenarioSpec& spec, int threads,
+    const dse::RobustnessOptions& robust) {
+  std::vector<std::string> out;
+  const net::ChannelFactory uncached = [](std::uint64_t seed) {
+    return channel::make_default_body_channel(seed);
+  };
+  diff_runs(out, exhaustive_with(spec, uncached, 0, robust),
+            exhaustive_with(spec, net::default_channel_factory(), threads,
+                            robust),
+            "with shared fade tapes at " + std::to_string(threads) +
+                " threads");
   return out;
 }
 

@@ -87,6 +87,17 @@ namespace hi::check {
 [[nodiscard]] std::vector<std::string> check_milp_levels(
     const model::Scenario& sc, int gamma);
 
+// --- channel properties -------------------------------------------------
+
+/// Tape ≡ stream: with a random seed, σ, τ and a short random tape
+/// length, a GaussMarkovFade reading a NormalTape bit-equals one drawing
+/// from the stream itself at every sample of a non-decreasing time
+/// sequence (repeated times included) that runs past the tape's end.
+/// The same holds for BodyChannel on make_body_tapes vs on the Rng,
+/// through path_loss_batch_db with random receiver sets and through
+/// path_loss_db in both orientations of a link.
+[[nodiscard]] std::vector<std::string> check_fade_tape(Rng& rng);
+
 // --- metamorphic DSE properties ----------------------------------------
 
 /// Algorithm 1 (sound bound) and exhaustive search agree on feasibility
@@ -109,6 +120,15 @@ namespace hi::check {
 /// The Γ=0, K=1 case of check_robust_thread_determinism.
 [[nodiscard]] std::vector<std::string> check_thread_determinism(
     const ScenarioSpec& spec, int threads);
+
+/// Shared fade tapes are invisible to results: robust exhaustive search
+/// through net::default_channel_factory() at `threads` workers vs a
+/// serial run through a factory that builds every channel from its seed
+/// (no tapes).  Bit-identical result and equal counter snapshots, as in
+/// check_robust_thread_determinism.
+[[nodiscard]] std::vector<std::string> check_tape_cache_invisible(
+    const ScenarioSpec& spec, int threads,
+    const dse::RobustnessOptions& robust = {});
 
 // --- robustness properties ---------------------------------------------
 

@@ -110,7 +110,8 @@ class Evaluator {
   /// counters.  Pure: the result depends only on the settings and on
   /// cfg.design_key(), so concurrent calls from worker threads are safe
   /// as long as settings().channel tolerates concurrent invocation (the
-  /// default factory is stateless; see net::ChannelFactory).
+  /// default factory's shared tape cache is mutex-guarded; see
+  /// net::default_channel_factory).
   [[nodiscard]] Evaluation simulate_uncached(
       const model::NetworkConfig& cfg) const {
     // Derive the design point's node-randomness seed from the experiment

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "check/properties.hpp"
 #include "common/assert.hpp"
 #include "common/stats.hpp"
 
@@ -192,6 +193,33 @@ TEST(BodyChannel, DifferentSeedsDiffer) {
   auto a = make_default_body_channel(1);
   auto b = make_default_body_channel(2);
   EXPECT_NE(a->path_loss_db(1, 6, 0.0), b->path_loss_db(1, 6, 0.0));
+}
+
+TEST(NormalTape, HoldsTheStreamPrefixAndTheStateAfterIt) {
+  Rng stream{41};
+  const NormalTape tape(stream, 7);  // odd: the rest holds a spare normal
+  ASSERT_EQ(tape.draws().size(), 7u);
+  for (const double z : tape.draws()) EXPECT_EQ(z, stream.normal());
+  Rng rest = tape.rest();
+  for (int k = 0; k < 5; ++k) EXPECT_EQ(rest.normal(), stream.normal());
+}
+
+TEST(NormalTape, TapeBackedFadesAndChannelsBitEqualTheStream) {
+  Rng rng = Rng{2026}.fork("test.fade_tape");
+  for (int i = 0; i < 200; ++i) {
+    for (const std::string& v : check::check_fade_tape(rng)) {
+      ADD_FAILURE() << "instance " << i << ": " << v;
+    }
+  }
+}
+
+TEST(BodyChannel, DefaultTapesBitEqualTheSeed) {
+  auto plain = make_default_body_channel(77);
+  auto taped = make_default_body_channel(make_body_tapes(Rng{77}));
+  ASSERT_EQ(make_body_tapes(Rng{77})->size(), kNumBodyLinks);
+  for (double t = 0.0; t < 30.0; t += 0.013) {
+    EXPECT_EQ(plain->path_loss_db(2, 7, t), taped->path_loss_db(7, 2, t));
+  }
 }
 
 }  // namespace
