@@ -107,7 +107,7 @@ int main() {
 
       alg1_wall += alg1.wall_time_s;
       fi_wall += fi.wall_time_s;
-      robust_cuts += alg1.metrics.counter("alg1.cuts_added");
+      robust_cuts += alg1.metrics.counter("walk.cuts_added");
       const std::string suffix =
           "_p" + std::to_string(static_cast<int>(pdr_min * 100.0));
       report.add(bench::BenchMetric{"alg1_sims" + suffix, "count",

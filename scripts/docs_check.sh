@@ -3,7 +3,7 @@
 #
 #   scripts/docs_check.sh
 #
-# Verifies four invariants that otherwise rot silently:
+# Verifies five invariants that otherwise rot silently:
 #   1. Every subsystem directory `src/<name>` has a DESIGN.md §2
 #      inventory row (a table row quoting `src/<name>`), not merely a
 #      passing mention.
@@ -16,6 +16,9 @@
 #      rename its documentation.
 #   4. Every committed benchmark baseline the docs reference
 #      (`BENCH_<name>.json`) exists at the repo root.
+#   5. Every counter name in DESIGN.md §8's metric name inventory
+#      (`prefix.` + each backticked name, `{a, b}` expanded) occurs as a
+#      string literal in src/ — a renamed counter must rename its row.
 # Paths under build*/ (generated trees) and placeholders containing
 # <...> or * are exempt.
 set -euo pipefail
@@ -82,8 +85,44 @@ for b in ${benches}; do
   fi
 done
 
+# --- 5. every §8 inventory counter name is emitted by src/ -------------
+# Table rows look like  | `prefix.` | `name`, `a.{b, c}` (notes), ... |.
+# Parenthesized notes are dropped; tokens already carrying the prefix
+# are taken whole, and tokens holding a '*' are placeholders.
+counters="$(
+  awk '/^\*\*Metric name inventory\*\*/ {on = 1; next}
+       on && /^\| `/ {print; next}
+       on && /^\*\*/ {exit}' DESIGN.md |
+  sed -E 's/\([^)]*\)//g' |
+  while IFS='|' read -r _ prefix names _; do
+    prefix="$(grep -oE '`[a-z0-9_]+\.`' <<< "${prefix}" | tr -d '`')"
+    for tok in $(grep -oE '`[^`]+`' <<< "${names}" | tr -d '` ' |
+                 grep -v '[*]'); do
+      [[ "${tok}" == "${prefix}"* ]] && tok="${tok#"${prefix}"}"
+      if [[ "${tok}" =~ ^(.*)\{(.*)\}(.*)$ ]]; then
+        IFS=',' read -ra parts <<< "${BASH_REMATCH[2]}"
+        for part in "${parts[@]}"; do
+          echo "${prefix}${BASH_REMATCH[1]}${part}${BASH_REMATCH[3]}"
+        done
+      else
+        echo "${prefix}${tok}"
+      fi
+    done
+  done | sort -u
+)"
+if [[ -z "${counters}" ]]; then
+  echo "docs_check: FAIL: DESIGN.md §8 metric name inventory not found" >&2
+  status=1
+fi
+for c in ${counters}; do
+  if ! grep -rqF "\"${c}\"" src/; then
+    echo "docs_check: FAIL: DESIGN.md §8 counter ${c} is emitted nowhere in src/" >&2
+    status=1
+  fi
+done
+
 if [[ "${status}" != 0 ]]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines)"
+echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines, counter names)"

@@ -107,6 +107,17 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
        [](const ScenarioSpec& s) { return check_robust_collapse(s); }},
       {"crowd_collapse",
        [](const ScenarioSpec& s) { return check_crowd_collapse(s); }},
+      {"alg1_vs_ladder",
+       [&robust](const ScenarioSpec& s) {
+         dse::Evaluator eval(s.settings);
+         std::vector<std::string> out;
+         for (const auto& r : {dse::RobustnessOptions{}, robust}) {
+           std::vector<std::string> v = check_alg1_matches_ladder(
+               s.scenario, eval, {0.3, 0.6, 0.8, 0.9}, r);
+           out.insert(out.end(), v.begin(), v.end());
+         }
+         return out;
+       }},
       {"fade_tape",
        [](const ScenarioSpec& s) {
          Rng rng = Rng{s.seed}.fork("check.fade_tape");

@@ -5,9 +5,10 @@
 // (check/properties.hpp): the solver-vs-oracle differentials (cold and
 // warm-started simplex, cold and warm re-solved branch and bound), the
 // closed-form MILP level walk at Γ = 0 and at the robust Γ, the
-// simulator invariant audit, the Γ=0 and crowd M=1 collapse checks and
-// the fade tape ≡ stream property every time, and one of the heavy
-// whole-run metamorphic checks (Algorithm 1 vs exhaustive + PDRmin
+// simulator invariant audit, the Γ=0 and crowd M=1 collapse checks,
+// Algorithm 1 vs the PDRmin ladder's rungs (nominal and at the robust
+// Γ/K) and the fade tape ≡ stream property every time, and one of the
+// heavy whole-run metamorphic checks (Algorithm 1 vs exhaustive + PDRmin
 // monotonicity, thread determinism + shared fade tapes vs none, and
 // their robust twins) in rotation so a fuzz session covers them
 // without multiplying its cost.

@@ -19,6 +19,7 @@
 #include "lp/simplex.hpp"
 #include "milp/solver.hpp"
 #include "model/power.hpp"
+#include "pareto/sweep.hpp"
 #include "store/serialize.hpp"
 
 namespace hi::check {
@@ -576,8 +577,9 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
     return out;
   }
   if (ex.feasible) {
-    if (a1.best_power_mw != ex.best_power_mw) {
-      fail(out, "optimal power disagrees at PDRmin ", pdr_min,
+    if (a1.best_power_mw != ex.best_power_mw ||
+        a1.best.design_key() != ex.best.design_key()) {
+      fail(out, "optimum disagrees at PDRmin ", pdr_min,
            ", gamma ", robust.gamma, ", K ", robust.realizations,
            ": exhaustive ", ex.best_power_mw, " mW (", ex.best.label(),
            "), algorithm1 ", a1.best_power_mw, " mW (", a1.best.label(),
@@ -602,6 +604,42 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
     fail(out, "result realizations (", a1.realizations, ", ",
          ex.realizations, ") do not echo the requested K ",
          robust.realizations);
+  }
+  return out;
+}
+
+std::vector<std::string> check_alg1_matches_ladder(
+    const model::Scenario& sc, dse::Evaluator& eval,
+    const std::vector<double>& pdr_mins,
+    const dse::RobustnessOptions& robust) {
+  std::vector<std::string> out;
+  pareto::SweepOptions sweep;
+  sweep.pdr_ladder = pdr_mins;
+  sweep.robust = robust;
+  for (const pareto::RungResult& rung :
+       pareto::ladder_front(sc, eval, sweep).rungs) {
+    dse::ExplorationOptions opt;
+    opt.pdr_min = rung.pdr_min;
+    opt.robust = robust;
+    const dse::ExplorationResult a1 = dse::run_algorithm1(sc, eval, opt);
+    const pareto::FrontPoint& p = rung.best;
+    const bool same =
+        a1.feasible == rung.feasible &&
+        (!a1.feasible ||
+         (a1.best.design_key() == p.cfg.design_key() &&
+          same_bits(a1.best_power_mw, p.power_mw) &&
+          same_bits(a1.best_pdr, p.pdr) && same_bits(a1.best_p95_s, p.p95_s) &&
+          same_bits(a1.best_nlt_s, p.nlt_s) &&
+          same_bits(a1.best_pdr_lo, p.pdr_lo) &&
+          same_bits(a1.best_pdr_hi, p.pdr_hi) &&
+          same_bits(a1.best_protection_mw, p.protection_mw)));
+    if (!same) {
+      fail(out, "rung optimum disagrees at PDRmin ", rung.pdr_min, ", gamma ",
+           robust.gamma, ", K ", robust.realizations, ": ladder ",
+           rung.feasible ? p.cfg.label() : "infeasible", " (", p.power_mw,
+           " mW), algorithm1 ", a1.feasible ? a1.best.label() : "infeasible",
+           " (", a1.best_power_mw, " mW)");
+    }
   }
   return out;
 }
@@ -828,7 +866,8 @@ void diff_runs(std::vector<std::string>& out, const dse::ExplorationResult& a,
   }
   // Exact double comparisons: determinism is bit-identical or broken.
   if (a.best_power_mw != b.best_power_mw || a.best_pdr != b.best_pdr ||
-      a.best_nlt_s != b.best_nlt_s || a.best_pdr_lo != b.best_pdr_lo ||
+      a.best_nlt_s != b.best_nlt_s || a.best_p95_s != b.best_p95_s ||
+      a.best_pdr_lo != b.best_pdr_lo ||
       a.best_pdr_hi != b.best_pdr_hi ||
       a.best_protection_mw != b.best_protection_mw) {
     fail(out, "best metrics (incl. CI) differ ", how);

@@ -134,10 +134,19 @@ namespace hi::check {
 
 /// Robust Algorithm 1 (sound bound) vs robust exhaustive search under
 /// the same RobustnessOptions: same feasibility, same robust optimal
-/// power, never more simulations.  Runs share `eval`'s caches.
+/// power and the same design (one incumbent order), never more
+/// simulations.  Runs share `eval`'s caches.
 [[nodiscard]] std::vector<std::string> check_robust_alg1_matches_exhaustive(
     const model::Scenario& sc, dse::Evaluator& eval, double pdr_min,
     const dse::RobustnessOptions& robust);
+
+/// Algorithm 1 (sound bound) at each PDRmin of `pdr_mins` equals that
+/// rung of pareto::ladder_front bit for bit — feasibility, design key,
+/// power, PDR, p95, lifetime, CI bounds and protection — under the same
+/// RobustnessOptions.  Runs share `eval`'s caches.
+[[nodiscard]] std::vector<std::string> check_alg1_matches_ladder(
+    const model::Scenario& sc, dse::Evaluator& eval,
+    const std::vector<double>& pdr_mins, const dse::RobustnessOptions& robust);
 
 /// Γ = 0, K = 1 collapse: RobustBatch aggregation over sampled feasible
 /// configs is bit-identical to the plain evaluator (zero protection,

@@ -1,5 +1,5 @@
-// hi-opt: common result types shared by the three explorers
-// (Algorithm 1, exhaustive search, simulated annealing).
+// hi-opt: common result types shared by the four explorers
+// (Algorithm 1, exhaustive search, simulated annealing, fast ILP).
 #pragma once
 
 #include <cstdint>
@@ -37,11 +37,12 @@ struct ExplorationResult {
   double best_power_mw = std::numeric_limits<double>::infinity();
   double best_pdr = 0.0;
   double best_nlt_s = 0.0;
-  int iterations = 0;            ///< explorer-specific outer iterations
+  double best_p95_s = 0.0;  ///< worst-realization p95 (0 without latency)
+  int iterations = 0;  ///< outer iterations (level walk: levels evaluated)
   std::uint64_t simulations = 0; ///< distinct design points simulated
-  /// Branch-and-bound nodes spent by RunMILP (Algorithm 1 only; 0 for
-  /// the other explorers).  Populated from the run's `milp.bnb_nodes`
-  /// counter, so it covers every solve the round triggered.
+  /// Branch-and-bound nodes spent by RunMILP (Algorithm 1 and fast ILP;
+  /// 0 for the other explorers).  Populated from the run's
+  /// `milp.bnb_nodes` counter, so it covers every solve the run made.
   std::uint64_t milp_bnb_nodes = 0;
   double wall_time_s = 0.0;
   std::vector<CandidateRecord> history;  ///< every simulated candidate

@@ -1,8 +1,6 @@
 #include "dse/explorer.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -48,46 +46,6 @@ ExplorationResult Explorer::run(const model::Scenario& scenario,
   HI_ASSERT_MSG(false, "unknown ExplorerKind "
                            << static_cast<int>(kind_));
   return {};  // unreachable; assert_fail is [[noreturn]]
-}
-
-SoundFloor::SoundFloor(const model::Scenario& scenario,
-                       const net::SimParams& sim, int gamma,
-                       const std::vector<double>& pdr_mins)
-    : rungs_(pdr_mins.size()) {
-  for (int lvl = 0; lvl < scenario.chip.num_tx_levels(); ++lvl) {
-    for (const auto rt :
-         {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
-      for (int n = scenario.min_nodes; n <= scenario.max_nodes; ++n) {
-        model::Topology t;
-        for (int i = 0; i < n; ++i) t.set(i, true);
-        // Placement and MAC never enter the cost or the floor — any
-        // representative topology of the right size will do.
-        const model::NetworkConfig cell =
-            scenario.make_config(t, lvl, model::MacProtocol::kCsma, rt);
-        const double prot = model::robust_protection_mw(cell, gamma);
-        cost_mw_.push_back(model::node_power_mw(cell) + prot);
-        for (double pdr_min : pdr_mins) {
-          floor_mw_.push_back(model::measured_power_floor_mw(
-                                  cell, pdr_min, sim.duration_s,
-                                  sim.gen_guard_s) +
-                              prot);
-        }
-      }
-    }
-  }
-}
-
-bool SoundFloor::certifies(double level_mw, std::size_t rung,
-                           double incumbent_mw) const {
-  // Cells strictly above the level minus a hair, i.e. at or above it.
-  const double above_mw = level_mw - 2.0 * 1e-12;
-  double lo = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < cost_mw_.size(); ++c) {
-    if (cost_mw_[c] > above_mw + 1e-12) {
-      lo = std::min(lo, floor_mw_[c * rungs_ + rung]);
-    }
-  }
-  return lo > incumbent_mw;
 }
 
 namespace detail {

@@ -1,13 +1,15 @@
 // hi-opt: the unified explorer front end.
 //
-// The three exploration strategies — Algorithm 1 (MILP + simulation),
-// exhaustive search, and simulated annealing — historically each grew
-// their own options struct with duplicated knobs (pdr_min, threads).
-// ExplorationOptions is the one bag every explorer consumes; the knobs a
-// strategy does not use are simply ignored, so one options value can
-// drive a fair three-way comparison.  Explorer is a small value type
-// that names a strategy and dispatches run(); benches iterate
-// Explorer::all() instead of hand-rolling three call sites.
+// The four exploration strategies — Algorithm 1 (MILP + simulation),
+// exhaustive search, simulated annealing and the fast-ILP heuristic —
+// consume one options bag, ExplorationOptions; the knobs a strategy
+// does not use are simply ignored, so one options value can drive a
+// fair comparison.  Explorer is a small value type that names a
+// strategy and dispatches run(); benches iterate Explorer::all()
+// instead of hand-rolling one call site per strategy.  Algorithm 1 and
+// the fast-ILP heuristic are two stop rules over one MILP level walk
+// (dse/level_walk.hpp), and every strategy picks its incumbent by the
+// one order lex_before (dse/robustness.hpp).
 //
 // Observability: every run is wrapped in a detail::RunScope that
 // installs the active obs::MetricsRegistry into the evaluator (the
@@ -67,38 +69,6 @@ enum class TerminationBound {
   /// the NreTx-scaled analytic estimate.  bench_alg1_vs_exhaustive
   /// measures both modes.
   kPaperAlpha,
-};
-
-/// The sound termination certificate (TerminationBound::kSoundFloor),
-/// shared by Algorithm 1 and hi::pareto's ladder.  The paper stops when
-/// P̄*/α(S*) exceeds the incumbent's simulated power; here that test is
-/// made per cell of the (Tx level, routing, N) grid and sound for the
-/// whole remaining feasible set: stop when *every* cell the MILP could
-/// still propose has its floor above the incumbent.  The floor is
-/// model::measured_power_floor_mw at the rung's PDRmin — delivery
-/// accounting against the simulator's own energy metering, not the
-/// analytic P̄lb (the fuzzer found P̄lb overshooting measured powers
-/// when CSMA saturation drops packets before they are transmitted).
-/// Costs and floors both carry the cell's Γ-protection (exactly 0.0 at
-/// Γ = 0), and the floor holds for EVERY channel realization, so it
-/// bounds the worst one.
-class SoundFloor {
- public:
-  /// Builds the cell costs and one floor per rung of `pdr_mins` (any
-  /// order; rung indices follow it).
-  SoundFloor(const model::Scenario& scenario, const net::SimParams& sim,
-             int gamma, const std::vector<double>& pdr_mins);
-
-  /// True when every cell at or above the analytic `level_mw` — the
-  /// level just proposed included — has its rung-`rung` floor strictly
-  /// above `incumbent_mw`: no further simulation can win or tie.
-  [[nodiscard]] bool certifies(double level_mw, std::size_t rung,
-                               double incumbent_mw) const;
-
- private:
-  std::size_t rungs_;
-  std::vector<double> cost_mw_;   ///< per cell: Γ-protected analytic P̄
-  std::vector<double> floor_mw_;  ///< per cell × rung: floor + protection
 };
 
 /// A progress heartbeat handed to ExplorationOptions::progress.
@@ -178,13 +148,15 @@ struct ExplorationOptions {
                                               Evaluator& eval,
                                               const ExplorationOptions& opt);
 
-/// Runs the fast ILP-based heuristic (D'Andreagiovanni & Nardin's
-/// WBAN-design heuristic ported onto this code base): Algorithm 1's
-/// ascending-MILP-level loop, but it stops two MILP levels after the
-/// feasible incumbent last improved instead of waiting for the sound
-/// power floor.  Orders of magnitude fewer simulations on
-/// deep level stacks; NOT exact — EXPERIMENTS.md documents the
-/// optimality gap against (robust) Algorithm 1.
+/// Runs the fast ILP-based heuristic (D'Andreagiovanni & Nardin, "A
+/// fast ILP-based Heuristic for the robust design of Body Wireless
+/// Sensor Networks", ported onto this code base): Algorithm 1's level
+/// walk, but it stops two MILP levels after the feasible incumbent last
+/// changed instead of waiting for the sound power floor.  The analytic
+/// cost model orders levels well, so skipping the long tail of levels
+/// the floor cannot prune saves most simulations; NOT exact —
+/// EXPERIMENTS.md documents the optimality gap against (robust)
+/// Algorithm 1 and bench_robust_dse gates it.
 [[nodiscard]] ExplorationResult run_fast_ilp(const model::Scenario& scenario,
                                              Evaluator& eval,
                                              const ExplorationOptions& opt);

@@ -115,26 +115,42 @@ CandidateRecord robust_record(const model::NetworkConfig& cfg,
   return rec;
 }
 
-void adopt_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
-                     const RobustEvaluation& rev) {
+DesignPoint make_point(const model::NetworkConfig& cfg,
+                       const RobustEvaluation& rev) {
+  return {cfg, rev.robust_power_mw, rev.worst_pdr, rev.worst_p95_s,
+          rev.worst_nlt_s, rev.pdr_lo, rev.pdr_hi, rev.protection_mw};
+}
+
+bool lex_before(const DesignPoint& a, const DesignPoint& b) {
+  if (a.power_mw != b.power_mw) return a.power_mw < b.power_mw;
+  if (a.pdr != b.pdr) return a.pdr > b.pdr;
+  if (a.p95_s != b.p95_s) return a.p95_s < b.p95_s;
+  return a.cfg.design_key() < b.cfg.design_key();
+}
+
+void adopt_incumbent(ExplorationResult& res, const DesignPoint& p) {
   res.feasible = true;
-  res.best = cfg;
-  res.best_power_mw = rev.robust_power_mw;
-  res.best_pdr = rev.worst_pdr;
-  res.best_nlt_s = rev.worst_nlt_s;
-  res.best_pdr_lo = rev.pdr_lo;
-  res.best_pdr_hi = rev.pdr_hi;
-  res.best_protection_mw = rev.protection_mw;
+  res.best = p.cfg;
+  res.best_power_mw = p.power_mw;
+  res.best_pdr = p.pdr;
+  res.best_p95_s = p.p95_s;
+  res.best_nlt_s = p.nlt_s;
+  res.best_pdr_lo = p.pdr_lo;
+  res.best_pdr_hi = p.pdr_hi;
+  res.best_protection_mw = p.protection_mw;
 }
 
 bool offer_candidate(ExplorationResult& res, const model::NetworkConfig& cfg,
                      const RobustEvaluation& rev, double pdr_min) {
   res.history.push_back(robust_record(cfg, rev));
+  const DesignPoint p = make_point(cfg, rev);
   const bool better =
-      rev.worst_pdr >= pdr_min &&
-      (!res.feasible || rev.robust_power_mw < res.best_power_mw);
+      p.pdr >= pdr_min &&
+      (!res.feasible ||
+       lex_before(p, {res.best, res.best_power_mw, res.best_pdr,
+                      res.best_p95_s}));
   if (better) {
-    adopt_incumbent(res, cfg, rev);
+    adopt_incumbent(res, p);
   }
   return better;
 }

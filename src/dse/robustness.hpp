@@ -95,14 +95,40 @@ struct RobustEvaluation {
 [[nodiscard]] CandidateRecord robust_record(const model::NetworkConfig& cfg,
                                             const RobustEvaluation& rev);
 
-/// Makes (cfg, rev) the incumbent of `res`: feasible, best design,
-/// robust objective, worst-case PDR and lifetime, CI and protection.
-void adopt_incumbent(ExplorationResult& res, const model::NetworkConfig& cfg,
-                     const RobustEvaluation& rev);
+/// One evaluated design point in objective space: an incumbent of the
+/// level walk, and hi::pareto's front point (pareto::FrontPoint).  The
+/// objectives are the robust ones (worst-realization PDR, protected
+/// power, worst-realization p95) — at K = 1, Γ = 0 the nominal ones —
+/// so dominance never needs to know which mode produced the point.
+struct DesignPoint {
+  model::NetworkConfig cfg;
+  double power_mw = 0.0;  ///< minimize (robust: worst power + Γ-protection)
+  double pdr = 0.0;       ///< maximize (robust: worst realization)
+  double p95_s = 0.0;     ///< minimize (0.0 when latency collection is off)
+  double nlt_s = 0.0;     ///< network lifetime of the carried power
+  double pdr_lo = 0.0;    ///< CI bounds (robust K >= 2; else == pdr)
+  double pdr_hi = 0.0;
+  double protection_mw = 0.0;  ///< Γ-protection included in power_mw
+};
+
+/// The DesignPoint of a (K-realization) evaluation.
+[[nodiscard]] DesignPoint make_point(const model::NetworkConfig& cfg,
+                                     const RobustEvaluation& rev);
+
+/// The one incumbent order of every explorer and of hi::pareto: power
+/// ascending, then PDR descending, then p95 ascending, then design_key
+/// ascending.  Distinct designs never tie, so an incumbent — the
+/// minimum of the evaluated designs meeting PDRmin — does not depend on
+/// the order they were evaluated in (DESIGN.md §5).
+[[nodiscard]] bool lex_before(const DesignPoint& a, const DesignPoint& b);
+
+/// Makes `p` the incumbent of `res`: feasible, best design, robust
+/// objective, worst-case PDR, p95 and lifetime, CI and protection.
+void adopt_incumbent(ExplorationResult& res, const DesignPoint& p);
 
 /// Appends robust_record(cfg, rev) to res.history, then adopts (cfg,
-/// rev) when its worst-case PDR meets `pdr_min` and its robust objective
-/// strictly beats the incumbent's.  Returns whether it was adopted.
+/// rev) when its worst-case PDR meets `pdr_min` and it comes before the
+/// incumbent in lex_before.  Returns whether it was adopted.
 bool offer_candidate(ExplorationResult& res, const model::NetworkConfig& cfg,
                      const RobustEvaluation& rev, double pdr_min);
 

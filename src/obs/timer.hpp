@@ -6,7 +6,7 @@
 // clock is not even read), so instrumented code needs no branches.
 // Used by the MILP solver (`milp.solve_s`), the evaluator
 // (`dse.simulate_s`), the batch engine (`exec.batch_s`), and the
-// explorers' per-phase hooks (`alg1.milp_s`, `alg1.sim_s`, ...).
+// MILP level walk's per-phase hooks (`walk.milp_s`, `walk.sim_s`).
 #pragma once
 
 #include <chrono>

@@ -4,20 +4,6 @@
 
 namespace hi::pareto {
 
-FrontPoint make_point(const model::NetworkConfig& cfg,
-                      const dse::RobustEvaluation& rev) {
-  FrontPoint p;
-  p.cfg = cfg;
-  p.power_mw = rev.robust_power_mw;
-  p.pdr = rev.worst_pdr;
-  p.p95_s = rev.worst_p95_s;
-  p.nlt_s = rev.worst_nlt_s;
-  p.pdr_lo = rev.pdr_lo;
-  p.pdr_hi = rev.pdr_hi;
-  p.protection_mw = rev.protection_mw;
-  return p;
-}
-
 bool dominates(const FrontPoint& a, const FrontPoint& b,
                const FrontOptions& opt) {
   const bool no_worse = a.power_mw <= b.power_mw + opt.epsilon_power_mw &&
@@ -32,13 +18,6 @@ bool dominates(const FrontPoint& a, const FrontPoint& b,
     return true;
   }
   return a.power_mw < b.power_mw || a.pdr > b.pdr || a.p95_s < b.p95_s;
-}
-
-bool lex_before(const FrontPoint& a, const FrontPoint& b) {
-  if (a.power_mw != b.power_mw) return a.power_mw < b.power_mw;
-  if (a.pdr != b.pdr) return a.pdr > b.pdr;
-  if (a.p95_s != b.p95_s) return a.p95_s < b.p95_s;
-  return a.cfg.design_key() < b.cfg.design_key();
 }
 
 bool FrontBuilder::insert(const FrontPoint& p) {

@@ -28,25 +28,10 @@
 
 namespace hi::pareto {
 
-/// One evaluated design point in objective space.  For robust sweeps
-/// the objectives are the robust ones (worst-realization PDR, protected
-/// power, worst-realization p95), carried in the same three fields so
-/// dominance never needs to know which mode produced the point.
-struct FrontPoint {
-  model::NetworkConfig cfg;
-  double power_mw = 0.0;  ///< minimize (robust: worst power + Γ-protection)
-  double pdr = 0.0;       ///< maximize (robust: worst realization)
-  double p95_s = 0.0;     ///< minimize (0.0 when latency collection is off)
-  double nlt_s = 0.0;     ///< network lifetime of the carried power
-  double pdr_lo = 0.0;    ///< CI bounds (robust K >= 2; else == pdr)
-  double pdr_hi = 0.0;
-  double protection_mw = 0.0;  ///< Γ-protection included in power_mw
-};
-
-/// Builds a FrontPoint from a (K-realization) evaluation: worst-case
-/// objectives, which at K = 1, Γ = 0 are the nominal ones.
-[[nodiscard]] FrontPoint make_point(const model::NetworkConfig& cfg,
-                                    const dse::RobustEvaluation& rev);
+/// A front point is a dse::DesignPoint; make_point builds one from a
+/// (K-realization) evaluation.
+using FrontPoint = dse::DesignPoint;
+using dse::make_point;
 
 /// The ε-dominance knob.  All-zero (the default) selects exact strict
 /// Pareto dominance.
@@ -63,12 +48,13 @@ struct FrontOptions {
 [[nodiscard]] bool dominates(const FrontPoint& a, const FrontPoint& b,
                              const FrontOptions& opt = {});
 
-/// Deterministic total order on points: power ascending, then PDR
-/// descending, then p95 ascending, then design_key ascending.  The
-/// ladder driver picks per-rung incumbents by this order, which is what
-/// makes every certified rung optimum globally non-dominated (no point
-/// ordered after the lexicographic minimum can dominate it).
-[[nodiscard]] bool lex_before(const FrontPoint& a, const FrontPoint& b);
+/// Deterministic total order on points: dse::lex_before, the one
+/// incumbent order (power ascending, then PDR descending, then p95
+/// ascending, then design_key ascending).  The level walk picks per-rung
+/// incumbents by this order, which is what makes every certified rung
+/// optimum globally non-dominated (no point ordered after the
+/// lexicographic minimum can dominate it).
+using dse::lex_before;
 
 /// See file comment.
 class FrontBuilder {

@@ -7,30 +7,28 @@
 //    and keeps the non-dominated set.  The definitive exact front, and
 //    the oracle the tier-1 differential test holds the ladder against.
 //
-//  * ladder_front — walks a PDRmin ladder the way Algorithm 1 walks one
-//    bound, but for all rungs at once: ONE MilpEncoding proposes levels
-//    in ascending analytic power, each level's whole alternative-optima
-//    pool is batch-evaluated once, every rung updates its incumbent
-//    from the shared evaluations, and the level is cut
-//    (add_power_cut_above).  A rung closes when the sound measured-power
-//    floor of every un-proposed cell exceeds its incumbent — the same
-//    certificate Algorithm 1 uses, per rung.  Each front point
-//    therefore costs at most one MILP solve plus simulations that the
-//    other rungs (or a warm store) already paid for.
+//  * ladder_front — the MILP level walk (dse::walk_levels) at N rungs:
+//    Algorithm 1's loop for every rung of the PDRmin ladder at once.
+//    One MilpEncoding proposes levels in ascending analytic power, each
+//    level is batch-evaluated once, every open rung keeps its lex_before
+//    minimum of the shared evaluations, and a rung closes when the sound
+//    floor certifies it.  Each front point therefore costs at most one
+//    MILP solve plus simulations that the other rungs (or a warm store)
+//    already paid for, and rung p equals Algorithm 1 at PDRmin p bit for
+//    bit (check::check_alg1_matches_ladder).
 //
-//    Incumbents are chosen by lex_before (power, then PDR, then p95,
-//    then design_key), so a certified rung optimum is globally
-//    non-dominated: any dominator would need PDR >= the rung bound and
-//    power <= the optimum, hence be an explored candidate ordered
-//    before the lexicographic minimum — a contradiction.  The emitted
-//    front is the non-dominated subset of the certified rung optima.
+//    A certified rung optimum is globally non-dominated: any dominator
+//    would need PDR >= the rung bound and power <= the optimum, hence be
+//    an explored candidate ordered before the lex_before minimum — a
+//    contradiction.  The emitted front is the non-dominated subset of
+//    the certified rung optima.
 //
 // RobustnessOptions compose: candidates are always folded through
 // dse::RobustBatch, objectives are (robust power, worst-case PDR,
 // worst-realization p95), the MILP proposes Γ-protected levels, and the
-// floor certificate (dse::SoundFloor) carries the same protection — so
-// Γ-robust fronts fall out of the identical control flow, and the
-// default Γ=0/K=1 is the nominal front.
+// floor certificate carries the same protection — so Γ-robust fronts
+// fall out of the identical control flow, and the default Γ=0/K=1 is
+// the nominal front.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +60,7 @@ struct SweepOptions {
   milp::Options milp{};
   /// ε-dominance knob for the emitted front.
   FrontOptions front{};
-  /// Safety valve on MILP rounds (ladder_front only).
+  /// Safety valve on evaluated MILP levels (ladder_front only).
   int max_rounds = 10'000;
   /// Observability registry (null = not observed; `pareto.*` counters).
   obs::MetricsRegistry* metrics = nullptr;
@@ -93,7 +91,7 @@ struct SweepResult {
   std::uint64_t simulations = 0;  ///< fresh simulations paid (delta)
   std::uint64_t store_hits = 0;   ///< simulations served by a warm store
   std::uint64_t milp_rounds = 0;  ///< ladder only: levels proposed
-  int milp_bnb_nodes = 0;         ///< ladder only
+  std::uint64_t milp_bnb_nodes = 0;  ///< ladder only: `milp.bnb_nodes`
   bool complete = true;  ///< false only when max_rounds stopped the ladder
   double wall_time_s = 0.0;
 };

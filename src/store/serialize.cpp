@@ -504,7 +504,7 @@ Digest options_fingerprint(const dse::ExplorationOptions& opt,
     case dse::ExplorerKind::kExhaustive:
       break;
     case dse::ExplorerKind::kFastIlp:
-      // dse/fast_ilp.cpp's constant patience, likewise.
+      // dse/level_walk.cpp's constant patience, likewise.
       w.put_i32(2);
       break;
   }

@@ -1,4 +1,4 @@
-// Tests for Algorithm 1 (dse/algorithm1.cpp, entry point in
+// Tests for Algorithm 1 (dse/level_walk.cpp, entry point in
 // dse/explorer.hpp): optimality against exhaustive search (the paper's
 // correctness claim), termination, and efficiency (fewer simulations
 // than exhaustive).

@@ -1,5 +1,6 @@
 // Tier-1 metamorphic properties of the DSE layer on generated scenarios:
-// Algorithm 1 must land on the exhaustive optimum, raising PDRmin can
+// Algorithm 1 must land on the exhaustive optimum and on the PDRmin
+// ladder's rung optimum, design for design, raising PDRmin can
 // never lower the optimal power, MILP power cuts walk every achievable
 // level upward (nominal and Γ-protected, checked against the closed
 // form), and thread counts {1, 4} leave every result and
@@ -26,6 +27,37 @@ TEST(Metamorphic, Algorithm1MatchesExhaustiveOnGeneratedScenarios) {
     dse::Evaluator eval(spec.settings);
     expect_clean(check_alg1_matches_exhaustive(spec.scenario, eval, 0.8),
                  spec, "alg1_vs_exhaustive");
+  }
+}
+
+TEST(Metamorphic, Algorithm1PicksExhaustiveSearchsDesignOnPowerTies) {
+  // Two distinct designs tie on power and PDR at the optimum here (N = 2,
+  // 8 feasible configs), so only the incumbent order decides which one
+  // Algorithm 1 and exhaustive search return.
+  const ScenarioSpec spec = make_scenario(55);
+  dse::Evaluator eval(spec.settings);
+  expect_clean(check_alg1_matches_exhaustive(spec.scenario, eval, 0.8), spec,
+               "alg1_vs_exhaustive");
+}
+
+TEST(Metamorphic, Algorithm1EqualsTheLadderRungNominal) {
+  for (const std::uint64_t seed : {55ULL, 4001ULL, 4002ULL}) {
+    const ScenarioSpec spec = make_scenario(seed);
+    dse::Evaluator eval(spec.settings);
+    expect_clean(check_alg1_matches_ladder(spec.scenario, eval,
+                                           {0.3, 0.6, 0.8, 0.9}, {}),
+                 spec, "alg1_vs_ladder");
+  }
+}
+
+TEST(Metamorphic, Algorithm1EqualsTheLadderRungRobust) {
+  for (const std::uint64_t seed : {55ULL, 4003ULL}) {
+    const ScenarioSpec spec = make_scenario(seed);
+    dse::Evaluator eval(spec.settings);
+    expect_clean(check_alg1_matches_ladder(spec.scenario, eval,
+                                           {0.3, 0.6, 0.8, 0.9},
+                                           dse::RobustnessOptions{2, 3, 0.95}),
+                 spec, "alg1_vs_ladder");
   }
 }
 

@@ -363,7 +363,7 @@ TEST(RobustDse, FastIlpRobustModeEchoesProtectionAndCi) {
     EXPECT_LE(res.best_pdr_lo, res.best_pdr_hi);
   }
   if (res.iterations >= 2) {
-    EXPECT_GE(res.metrics.counter("fast_ilp.cuts_added"), 1u);
+    EXPECT_GE(res.metrics.counter("walk.cuts_added"), 1u);
   }
 }
 
