@@ -51,7 +51,7 @@ int main() {
                    fmt_percent(saved, 1)});
   }
   table.print(std::cout);
-  std::cout << "\ntermination uses the sound per-cell routing-free floors "
+  std::cout << "\ntermination uses the sound per-cell measured-power floors "
                "(see DESIGN.md); bench_alg1_vs_exhaustive compares them "
                "against the paper's literal alpha rule\n";
 
@@ -64,6 +64,7 @@ int main() {
     eval.reset_counters();
     dse::ExplorationOptions opt;
     opt.pdr_min = 0.90;
+    opt.bound = dse::TerminationBound::kPaperAlpha;  // the rule kappa scales
     opt.alpha_kappa = kappa;
     const dse::ExplorationResult res =
         dse::run_algorithm1(scenario, eval, opt);

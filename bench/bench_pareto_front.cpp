@@ -69,7 +69,7 @@ int main() {
   // ---- Ladder front: one MILP encoding, shared pools. --------------------
   dse::Evaluator ld_eval(settings);
   const pareto::SweepResult ld = pareto::ladder_front(scenario, ld_eval, opt);
-  HI_ASSERT_MSG(ld.complete, "ladder sweep hit max_rounds");
+  HI_ASSERT_MSG(ld.complete, "ladder sweep hit its level budget");
   HI_ASSERT_MSG(ld.simulations <= ex.simulations,
                 "ladder simulated more than exhaustive");
   for (const pareto::FrontPoint& p : ld.front) {

@@ -8,29 +8,10 @@
 
 namespace hi::campaign {
 
-namespace {
-
-dse::Explorer explorer_for(dse::ExplorerKind kind) {
-  switch (kind) {
-    case dse::ExplorerKind::kExhaustive:
-      return dse::Explorer::exhaustive();
-    case dse::ExplorerKind::kAnnealing:
-      return dse::Explorer::annealing();
-    case dse::ExplorerKind::kFastIlp:
-      return dse::Explorer::fast_ilp();
-    case dse::ExplorerKind::kAlgorithm1:
-      break;
-  }
-  return dse::Explorer::algorithm1();
-}
-
-}  // namespace
-
 std::optional<CampaignPlan> CampaignPlan::build(const PlanSpec& spec,
                                                 std::string* error) {
   CampaignPlan plan;
   plan.spec_ = spec;
-  plan.explorer_ = explorer_for(spec.explorer);
 
   dse::EvaluatorSettings base;
   base.sim.duration_s = spec.tsim_s;

@@ -85,7 +85,7 @@ class CampaignPlan {
   [[nodiscard]] dse::ExplorationOptions cell_options(double pdr_min) const;
 
   /// The explorer the whole grid runs under.
-  [[nodiscard]] const dse::Explorer& explorer() const { return explorer_; }
+  [[nodiscard]] dse::ExplorerKind explorer() const { return spec_.explorer; }
 
   /// Stable claim-file token for a row: "row-<index>-<fp8>", where fp8
   /// is the first 8 hex digits of the scenario fingerprint.  Index keeps
@@ -98,7 +98,6 @@ class CampaignPlan {
  private:
   PlanSpec spec_;
   std::vector<PlanRow> rows_;
-  dse::Explorer explorer_ = dse::Explorer::algorithm1();
 };
 
 }  // namespace hi::campaign

@@ -78,6 +78,14 @@ class Worker {
                                           slot, cfg.lease_ms, &metrics_);
   }
 
+  /// Joins the renewal thread when run() exits by an exception, so the
+  /// fork child reports the error instead of aborting.
+  ~Worker() {
+    if (renewer_.joinable()) stop_renewal();
+  }
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
   int run(int report_fd) {
     const Clock::time_point t0 = Clock::now();
     start_renewal();
@@ -178,7 +186,7 @@ class Worker {
       dse::ExplorationOptions run_opt = plan_.cell_options(key.pdr_min);
       run_opt.metrics = &metrics_;
       const dse::ExplorationResult res =
-          plan_.explorer().run(row.scenario, eval, run_opt);
+          dse::explore(plan_.explorer(), row.scenario, eval, run_opt);
       shard_->put_cell(key, to_cell_result(res));
       ++cells_done_;
       fresh_sims_ += res.simulations;
@@ -353,7 +361,7 @@ CampaignReport run_single(const CampaignPlan& plan, const RunConfig& cfg,
       dse::ExplorationOptions run_opt = plan.cell_options(key.pdr_min);
       run_opt.metrics = metrics;
       const dse::ExplorationResult res =
-          plan.explorer().run(row.scenario, eval, run_opt);
+          dse::explore(plan.explorer(), row.scenario, eval, run_opt);
       cell.result = to_cell_result(res);
       cell.store_hits = res.metrics.counter("dse.store_hits");
       store.put_cell(key, cell.result);  // fsynced checkpoint

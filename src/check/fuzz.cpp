@@ -113,7 +113,8 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
          std::vector<std::string> out;
          for (const auto& r : {dse::RobustnessOptions{}, robust}) {
            std::vector<std::string> v = check_alg1_matches_ladder(
-               s.scenario, eval, {0.3, 0.6, 0.8, 0.9}, r);
+               s.scenario, eval, {0.3, 0.6, 0.8, 0.9}, r,
+               dse::TerminationBound::kSoundFloor);
            out.insert(out.end(), v.begin(), v.end());
          }
          return out;

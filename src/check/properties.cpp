@@ -610,17 +610,17 @@ std::vector<std::string> check_robust_alg1_matches_exhaustive(
 
 std::vector<std::string> check_alg1_matches_ladder(
     const model::Scenario& sc, dse::Evaluator& eval,
-    const std::vector<double>& pdr_mins,
-    const dse::RobustnessOptions& robust) {
+    const std::vector<double>& pdr_mins, const dse::RobustnessOptions& robust,
+    dse::TerminationBound bound) {
   std::vector<std::string> out;
   pareto::SweepOptions sweep;
   sweep.pdr_ladder = pdr_mins;
-  sweep.robust = robust;
+  sweep.run.robust = robust;
+  sweep.run.bound = bound;
   for (const pareto::RungResult& rung :
        pareto::ladder_front(sc, eval, sweep).rungs) {
-    dse::ExplorationOptions opt;
+    dse::ExplorationOptions opt = sweep.run;
     opt.pdr_min = rung.pdr_min;
-    opt.robust = robust;
     const dse::ExplorationResult a1 = dse::run_algorithm1(sc, eval, opt);
     const pareto::FrontPoint& p = rung.best;
     const bool same =
@@ -634,8 +634,9 @@ std::vector<std::string> check_alg1_matches_ladder(
           same_bits(a1.best_pdr_hi, p.pdr_hi) &&
           same_bits(a1.best_protection_mw, p.protection_mw)));
     if (!same) {
-      fail(out, "rung optimum disagrees at PDRmin ", rung.pdr_min, ", gamma ",
-           robust.gamma, ", K ", robust.realizations, ": ladder ",
+      fail(out, "rung optimum disagrees at PDRmin ", rung.pdr_min, ", bound ",
+           static_cast<int>(bound), ", gamma ", robust.gamma, ", K ",
+           robust.realizations, ": ladder ",
            rung.feasible ? p.cfg.label() : "infeasible", " (", p.power_mw,
            " mW), algorithm1 ", a1.feasible ? a1.best.label() : "infeasible",
            " (", a1.best_power_mw, " mW)");

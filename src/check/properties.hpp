@@ -28,6 +28,7 @@
 #include "check/scenario_gen.hpp"
 #include "common/rng.hpp"
 #include "dse/evaluator.hpp"
+#include "dse/explorer.hpp"
 #include "dse/robustness.hpp"
 #include "lp/problem.hpp"
 #include "milp/model.hpp"
@@ -140,13 +141,15 @@ namespace hi::check {
     const model::Scenario& sc, dse::Evaluator& eval, double pdr_min,
     const dse::RobustnessOptions& robust);
 
-/// Algorithm 1 (sound bound) at each PDRmin of `pdr_mins` equals that
-/// rung of pareto::ladder_front bit for bit — feasibility, design key,
-/// power, PDR, p95, lifetime, CI bounds and protection — under the same
-/// RobustnessOptions.  Runs share `eval`'s caches.
+/// Algorithm 1 at each PDRmin of `pdr_mins` equals that rung of
+/// pareto::ladder_front bit for bit — feasibility, design key, power,
+/// PDR, p95, lifetime, CI bounds and protection — under the same
+/// RobustnessOptions and termination bound (kPaperAlpha: nominal only).
+/// Runs share `eval`'s caches.
 [[nodiscard]] std::vector<std::string> check_alg1_matches_ladder(
     const model::Scenario& sc, dse::Evaluator& eval,
-    const std::vector<double>& pdr_mins, const dse::RobustnessOptions& robust);
+    const std::vector<double>& pdr_mins, const dse::RobustnessOptions& robust,
+    dse::TerminationBound bound);
 
 /// Γ = 0, K = 1 collapse: RobustBatch aggregation over sampled feasible
 /// configs is bit-identical to the plain evaluator (zero protection,

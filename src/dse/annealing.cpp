@@ -15,7 +15,7 @@
 // toward designs that are cheap and reliable under EVERY realization.
 //
 // Entry point: run_annealing(scenario, eval, ExplorationOptions),
-// declared in dse/explorer.hpp (or Explorer::annealing().run(...)).
+// declared in dse/explorer.hpp (or explore(ExplorerKind::kAnnealing, ...)).
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -97,7 +97,7 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
                                 const ExplorationOptions& opt) {
   const int steps = opt.budget >= 0 ? opt.budget : 400;
   HI_REQUIRE(steps >= 1, "need at least one step");
-  detail::RunScope scope(ExplorerKind::kAnnealing, eval, opt);
+  RunScope scope(ExplorerKind::kAnnealing, eval, opt);
   // One state at a time: nothing to fan out, so the batch is serial.
   RobustBatch batch(eval, 0, opt.robust);
   Rng rng(opt.seed);
@@ -142,7 +142,7 @@ ExplorationResult run_annealing(const model::Scenario& scenario,
       cur = cand;
       cur_energy = cand_energy;
     }
-    scope.progress(res.iterations + 1, res);
+    scope.progress(res.iterations + 1, res.feasible, res.best_power_mw);
   }
 
   scope.finish(res);

@@ -12,7 +12,7 @@
 // the robust Algorithm 1 property checks against.
 //
 // Entry point: run_exhaustive(scenario, eval, ExplorationOptions),
-// declared in dse/explorer.hpp (or Explorer::exhaustive().run(...)).
+// declared in dse/explorer.hpp (or explore(ExplorerKind::kExhaustive, ...)).
 #include <algorithm>
 
 #include "dse/explorer.hpp"
@@ -23,7 +23,7 @@ namespace hi::dse {
 ExplorationResult run_exhaustive(const model::Scenario& scenario,
                                  Evaluator& eval,
                                  const ExplorationOptions& opt) {
-  detail::RunScope scope(ExplorerKind::kExhaustive, eval, opt);
+  RunScope scope(ExplorerKind::kExhaustive, eval, opt);
 
   const std::vector<model::NetworkConfig> space = scenario.feasible_configs();
   const int threads = scope.threads();
@@ -48,7 +48,8 @@ ExplorationResult run_exhaustive(const model::Scenario& scenario,
       offer_candidate(res, slice[i], revs[i], opt.pdr_min);
       ++res.iterations;
     }
-    scope.progress(res.iterations, res);  // one heartbeat per chunk
+    // One heartbeat per chunk.
+    scope.progress(res.iterations, res.feasible, res.best_power_mw);
   }
 
   scope.finish(res);

@@ -1,6 +1,7 @@
 #include "dse/explorer.hpp"
 
 #include <chrono>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -30,10 +31,9 @@ const char* to_string(ExplorerKind kind) {
   return "unknown";
 }
 
-ExplorationResult Explorer::run(const model::Scenario& scenario,
-                                Evaluator& eval,
-                                const ExplorationOptions& opt) const {
-  switch (kind_) {
+ExplorationResult explore(ExplorerKind kind, const model::Scenario& scenario,
+                          Evaluator& eval, const ExplorationOptions& opt) {
+  switch (kind) {
     case ExplorerKind::kAlgorithm1:
       return run_algorithm1(scenario, eval, opt);
     case ExplorerKind::kExhaustive:
@@ -43,12 +43,9 @@ ExplorationResult Explorer::run(const model::Scenario& scenario,
     case ExplorerKind::kFastIlp:
       return run_fast_ilp(scenario, eval, opt);
   }
-  HI_ASSERT_MSG(false, "unknown ExplorerKind "
-                           << static_cast<int>(kind_));
+  HI_ASSERT_MSG(false, "unknown ExplorerKind " << static_cast<int>(kind));
   return {};  // unreachable; assert_fail is [[noreturn]]
 }
-
-namespace detail {
 
 RunScope::RunScope(ExplorerKind kind, Evaluator& eval,
                    const ExplorationOptions& opt)
@@ -58,6 +55,11 @@ RunScope::RunScope(ExplorerKind kind, Evaluator& eval,
   HI_REQUIRE(opt.threads >= -1,
              "threads must be >= -1 (-1 = inherit the evaluator's), got "
                  << opt.threads);
+  HI_REQUIRE(opt.budget >= -1,
+             "budget must be >= -1 (-1 = the strategy's default), got "
+                 << opt.budget);
+  HI_REQUIRE(opt.alpha_kappa > 0.0 && opt.alpha_kappa <= 1.0,
+             "alpha_kappa must be in (0,1], got " << opt.alpha_kappa);
   threads_ = opt.threads >= 0 ? opt.threads : eval.settings().threads;
 
   registry_ = opt.metrics != nullptr ? opt.metrics : eval.metrics();
@@ -77,6 +79,7 @@ RunScope::RunScope(ExplorerKind kind, Evaluator& eval,
   // too; with no children this is exactly simulations(), so the
   // single-realization accounting is unchanged.
   sims0_ = eval.total_simulations();
+  store_hits0_ = eval.total_store_hits();
   t0_s_ = steady_now_s();
 }
 
@@ -86,7 +89,8 @@ RunScope::~RunScope() {
   }
 }
 
-void RunScope::progress(int iteration, const ExplorationResult& res) const {
+void RunScope::progress(int iteration, bool feasible,
+                        double best_power_mw) const {
   if (!opt_.progress) {
     return;
   }
@@ -94,27 +98,35 @@ void RunScope::progress(int iteration, const ExplorationResult& res) const {
   info.kind = kind_;
   info.iteration = iteration;
   info.simulations = eval_.total_simulations() - sims0_;
-  info.feasible = res.feasible;
-  info.best_power_mw = res.best_power_mw;
+  info.feasible = feasible;
+  info.best_power_mw = best_power_mw;
   opt_.progress(info);
 }
 
-void RunScope::finish(ExplorationResult& res) {
-  res.simulations = eval_.total_simulations() - sims0_;
-  res.realizations = opt_.robust.realizations;
-  res.gamma = opt_.robust.gamma;
-  res.wall_time_s = steady_now_s() - t0_s_;
-  registry_->histogram("dse.run_s").observe(res.wall_time_s);
+RunTotals RunScope::finish() {
+  RunTotals t;
+  t.simulations = eval_.total_simulations() - sims0_;
+  t.store_hits = eval_.total_store_hits() - store_hits0_;
+  t.wall_time_s = steady_now_s() - t0_s_;
+  registry_->histogram("dse.run_s").observe(t.wall_time_s);
   registry_->counter("dse.runs").add(1);
-  res.metrics = registry_->snapshot().delta_since(start_);
-  res.milp_bnb_nodes = res.metrics.counter("milp.bnb_nodes");
-  HI_ASSERT_MSG(res.metrics.counter("dse.simulations") == res.simulations,
+  t.metrics = registry_->snapshot().delta_since(start_);
+  HI_ASSERT_MSG(t.metrics.counter("dse.simulations") == t.simulations,
                 "metric dse.simulations ("
-                    << res.metrics.counter("dse.simulations")
+                    << t.metrics.counter("dse.simulations")
                     << ") disagrees with the evaluator's count ("
-                    << res.simulations << ")");
+                    << t.simulations << ")");
+  return t;
 }
 
-}  // namespace detail
+void RunScope::finish(ExplorationResult& res) {
+  RunTotals t = finish();
+  res.simulations = t.simulations;
+  res.realizations = opt_.robust.realizations;
+  res.gamma = opt_.robust.gamma;
+  res.wall_time_s = t.wall_time_s;
+  res.metrics = std::move(t.metrics);
+  res.milp_bnb_nodes = res.metrics.counter("milp.bnb_nodes");
+}
 
 }  // namespace hi::dse

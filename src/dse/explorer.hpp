@@ -1,34 +1,35 @@
-// hi-opt: the unified explorer front end.
+// hi-opt: the unified explorer front end and the one run harness.
 //
 // The four exploration strategies — Algorithm 1 (MILP + simulation),
 // exhaustive search, simulated annealing and the fast-ILP heuristic —
 // consume one options bag, ExplorationOptions; the knobs a strategy
 // does not use are simply ignored, so one options value can drive a
-// fair comparison.  Explorer is a small value type that names a
-// strategy and dispatches run(); benches iterate Explorer::all()
-// instead of hand-rolling one call site per strategy.  Algorithm 1 and
-// the fast-ILP heuristic are two stop rules over one MILP level walk
-// (dse/level_walk.hpp), and every strategy picks its incumbent by the
-// one order lex_before (dse/robustness.hpp).
+// fair comparison.  explore() dispatches on an ExplorerKind, and
+// benches iterate kAllExplorers instead of hand-rolling one call site
+// per strategy.  Algorithm 1 and the fast-ILP heuristic are two stop
+// rules over one MILP level walk (dse/level_walk.hpp), and every
+// strategy picks its incumbent by the one order lex_before
+// (dse/robustness.hpp).  hi::pareto's sweeps run on the same options
+// (SweepOptions::run) and the same harness.
 //
-// Observability: every run is wrapped in a detail::RunScope that
-// installs the active obs::MetricsRegistry into the evaluator (the
-// caller's via ExplorationOptions::metrics, the evaluator's own, or a
-// private one — in that order), snapshots it before and after, and
-// stores the delta in ExplorationResult::metrics.  The legacy scalar
-// fields (`simulations`, `milp_bnb_nodes`) are populated from the same
-// counters, so they always agree with the snapshot bit-for-bit.
+// Observability: every run — each explorer and each Pareto sweep — is
+// wrapped in a RunScope that validates the options, installs the
+// active obs::MetricsRegistry into the evaluator (the caller's via
+// ExplorationOptions::metrics, the evaluator's own, or a private one —
+// in that order), snapshots it before and after, and stores the delta
+// in ExplorationResult::metrics.  The scalar fields (`simulations`,
+// `milp_bnb_nodes`) are populated from the same counters, so they
+// always agree with the snapshot bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "dse/evaluator.hpp"
 #include "dse/exploration.hpp"
 #include "dse/robustness.hpp"
-#include "milp/solver.hpp"
 #include "model/design_space.hpp"
 #include "model/power.hpp"
 #include "obs/metrics.hpp"
@@ -44,6 +45,12 @@ enum class ExplorerKind {
                 ///< Algorithm 1's loop with a patience cutoff instead of
                 ///< the sound floor — not exact, benchmarked against it
 };
+
+/// Every strategy, in the order the paper compares them (the fast-ILP
+/// heuristic, which the paper does not have, comes last).
+inline constexpr std::array<ExplorerKind, 4> kAllExplorers = {
+    ExplorerKind::kAlgorithm1, ExplorerKind::kExhaustive,
+    ExplorerKind::kAnnealing, ExplorerKind::kFastIlp};
 
 [[nodiscard]] const char* to_string(ExplorerKind kind);
 
@@ -89,9 +96,10 @@ using ProgressFn = std::function<void(const ProgressInfo&)>;
 struct ExplorationOptions {
   double pdr_min = 0.9;  ///< PDRmin, in [0,1]
 
-  /// Outer-iteration budget; -1 = the strategy's default (Algorithm 1:
-  /// 10'000 rounds, a safety valve; annealing: 400 steps).  Exhaustive
-  /// search always sweeps the whole space and ignores it.
+  /// Outer-iteration budget, >= -1; -1 = the strategy's default (the
+  /// level walk: 10'000 evaluated levels, a safety valve; annealing: 400
+  /// steps).  Exhaustive search always sweeps the whole space and
+  /// ignores it.
   int budget = -1;
 
   /// Worker threads for batch evaluation (hi::exec::BatchEvaluator).
@@ -103,15 +111,12 @@ struct ExplorationOptions {
   /// strategies are deterministic and ignore it).
   std::uint64_t seed = 7;
 
-  // --- Algorithm 1 ---------------------------------------------------
+  // --- the level walk (Algorithm 1, the PDRmin ladder) ---------------
   TerminationBound bound = TerminationBound::kSoundFloor;
-  /// Loss-discount safety factor of the kPaperAlpha bound; smaller is
-  /// more conservative (more simulations).  See
-  /// model::power_lower_bound_mw.  kSoundFloor ignores it.
+  /// Loss-discount safety factor of the kPaperAlpha bound, in (0, 1];
+  /// smaller is more conservative (more simulations).  See
+  /// model::power_lower_bound_mw.  The other bounds ignore it.
   double alpha_kappa = model::kLossDiscountKappa;
-  /// Inner MILP solver knobs.  Options::metrics is overridden with the
-  /// run's active registry so milp.* counters land in the snapshot.
-  milp::Options milp{};
 
   // --- robustness (DESIGN.md §13) ------------------------------------
   /// Γ / multi-realization knobs consumed by every explorer, which all
@@ -161,49 +166,28 @@ struct ExplorationOptions {
                                              Evaluator& eval,
                                              const ExplorationOptions& opt);
 
-/// A named exploration strategy; run() dispatches to the matching
-/// run_* function.  Copyable value type.
-class Explorer {
- public:
-  [[nodiscard]] static Explorer algorithm1() {
-    return Explorer(ExplorerKind::kAlgorithm1);
-  }
-  [[nodiscard]] static Explorer exhaustive() {
-    return Explorer(ExplorerKind::kExhaustive);
-  }
-  [[nodiscard]] static Explorer annealing() {
-    return Explorer(ExplorerKind::kAnnealing);
-  }
-  [[nodiscard]] static Explorer fast_ilp() {
-    return Explorer(ExplorerKind::kFastIlp);
-  }
-  /// All strategies, in the order the paper compares them (the fast-ILP
-  /// heuristic, which the paper does not have, comes last).
-  [[nodiscard]] static std::vector<Explorer> all() {
-    return {algorithm1(), exhaustive(), annealing(), fast_ilp()};
-  }
+/// Runs the strategy `kind` names: the matching run_* function.
+[[nodiscard]] ExplorationResult explore(ExplorerKind kind,
+                                        const model::Scenario& scenario,
+                                        Evaluator& eval,
+                                        const ExplorationOptions& opt = {});
 
-  [[nodiscard]] ExplorerKind kind() const { return kind_; }
-  [[nodiscard]] const char* name() const { return to_string(kind_); }
-
-  [[nodiscard]] ExplorationResult run(const model::Scenario& scenario,
-                                      Evaluator& eval,
-                                      const ExplorationOptions& opt = {}) const;
-
- private:
-  explicit Explorer(ExplorerKind kind) : kind_(kind) {}
-  ExplorerKind kind_;
+/// What a RunScope measured over its run.
+struct RunTotals {
+  std::uint64_t simulations = 0;  ///< fresh simulations (every realization)
+  std::uint64_t store_hits = 0;   ///< simulations a warm store served
+  double wall_time_s = 0.0;
+  obs::Snapshot metrics;  ///< the registry's delta over the run
 };
 
-namespace detail {
-
-/// RAII harness shared by the run_* functions: validates the common
-/// options (the run's RobustBatch validates RobustnessOptions),
-/// resolves the active registry (see the file comment) and installs it
-/// into the evaluator, snapshots the metrics baseline,
-/// and on finish() fills the result's simulations / wall_time_s /
-/// metrics / milp_bnb_nodes fields from the same counters.  The
-/// destructor restores the evaluator's previous registry.
+/// RAII harness of every run over an Evaluator — the run_* functions
+/// and the Pareto sweeps: validates the common options (pdr_min,
+/// budget, threads, alpha_kappa; the run's RobustBatch validates
+/// RobustnessOptions), resolves the active registry (see the file
+/// comment) and installs it into the evaluator, snapshots the metrics
+/// baseline, and on finish() records one `dse.runs` / `dse.run_s`
+/// sample and measures the run.  The destructor restores the
+/// evaluator's previous registry.
 class RunScope {
  public:
   RunScope(ExplorerKind kind, Evaluator& eval, const ExplorationOptions& opt);
@@ -211,16 +195,25 @@ class RunScope {
   RunScope(const RunScope&) = delete;
   RunScope& operator=(const RunScope&) = delete;
 
+  /// The run's options (the level walk reads its bound, kappa, budget
+  /// and robustness from them).
+  [[nodiscard]] const ExplorationOptions& options() const { return opt_; }
+
   /// The registry this run records into; never null.
   [[nodiscard]] obs::MetricsRegistry& registry() const { return *registry_; }
 
   /// Resolved worker-thread count (options override, else evaluator).
   [[nodiscard]] int threads() const { return threads_; }
 
-  /// Invokes the caller's progress callback (no-op when unset).
-  void progress(int iteration, const ExplorationResult& res) const;
+  /// Invokes the caller's progress callback (no-op when unset) with the
+  /// run's incumbent so far.
+  void progress(int iteration, bool feasible, double best_power_mw) const;
 
-  /// Fills the run-summary fields of `res`; call exactly once, last.
+  /// Ends the run and measures it; call exactly once, last.  Asserts
+  /// that the `dse.simulations` delta equals the evaluator's count.
+  [[nodiscard]] RunTotals finish();
+
+  /// finish(), filling the run-summary fields of an explorer's result.
   void finish(ExplorationResult& res);
 
  private:
@@ -233,10 +226,9 @@ class RunScope {
   bool installed_ = false;
   obs::Snapshot start_;
   std::uint64_t sims0_ = 0;
+  std::uint64_t store_hits0_ = 0;
   int threads_ = 0;
   double t0_s_ = 0.0;  ///< steady-clock start, in seconds
 };
-
-}  // namespace detail
 
 }  // namespace hi::dse

@@ -71,12 +71,8 @@ class SoundFloor {
 /// Paper line 5: P̄*/α(S*, PDRmin) > P̄min, with the uniform loss
 /// discount applied to the incumbent's own cell.
 bool alpha_stops(const WalkRung& r, double level_mw, double kappa) {
-  const model::NetworkConfig& cfg = r.best.cfg;
-  const double p_best = model::node_power_mw(cfg);
-  const double lb = cfg.app.baseline_mw +
-                    kappa * r.pdr_min * (p_best - cfg.app.baseline_mw);
-  const double alpha = p_best / lb;
-  return level_mw / alpha > r.best.power_mw;
+  return level_mw / model::alpha_factor(r.best.cfg, r.pdr_min, kappa) >
+         r.best.power_mw;
 }
 
 /// The explorer adapter: the walk at one rung, opt.pdr_min; the history
@@ -84,21 +80,12 @@ bool alpha_stops(const WalkRung& r, double level_mw, double kappa) {
 ExplorationResult walk_explorer(ExplorerKind kind,
                                 const model::Scenario& scenario,
                                 Evaluator& eval, const ExplorationOptions& opt,
-                                TerminationBound bound, int patience) {
-  detail::RunScope scope(kind, eval, opt);
+                                int patience) {
+  RunScope scope(kind, eval, opt);
   ExplorationResult res;
   WalkOptions walk;
   walk.pdr_mins = {opt.pdr_min};
-  walk.bound = bound;
-  walk.alpha_kappa = opt.alpha_kappa;
   walk.patience = patience;
-  walk.max_levels = opt.budget >= 0 ? opt.budget : 10'000;
-  walk.threads = scope.threads();
-  walk.robust = opt.robust;
-  walk.milp = opt.milp;
-  // The run's registry, so the milp.* counters land in the snapshot
-  // delta that feeds ExplorationResult::milp_bnb_nodes.
-  walk.metrics = &scope.registry();
   walk.on_level = [&](const MilpRound& round,
                       const std::vector<RobustEvaluation>& revs,
                       const WalkResult& state) {
@@ -109,9 +96,9 @@ ExplorationResult walk_explorer(ExplorerKind kind,
     if (rung.feasible) {
       adopt_incumbent(res, rung.best);
     }
-    scope.progress(state.levels_evaluated, res);
+    scope.progress(state.levels_evaluated, res.feasible, res.best_power_mw);
   };
-  res.iterations = walk_levels(scenario, eval, walk).levels_evaluated;
+  res.iterations = walk_levels(scenario, eval, scope, walk).levels_evaluated;
   scope.finish(res);
   return res;
 }
@@ -119,28 +106,28 @@ ExplorationResult walk_explorer(ExplorerKind kind,
 }  // namespace
 
 WalkResult walk_levels(const model::Scenario& scenario, Evaluator& eval,
-                       const WalkOptions& opt) {
+                       const RunScope& scope, const WalkOptions& opt) {
+  const ExplorationOptions& run = scope.options();
   // The α discount has no sound robust reading (DESIGN.md §13).
-  HI_REQUIRE(opt.bound != TerminationBound::kPaperAlpha ||
-                 !opt.robust.active(),
+  HI_REQUIRE(run.bound != TerminationBound::kPaperAlpha ||
+                 !run.robust.active(),
              "robust Algorithm 1 does not support the kPaperAlpha bound");
   // RunSim engine: each level's whole alternative-optima set is
   // batch-evaluated at once (bit-identical to serial at any thread
   // count; see exec::BatchEvaluator).
-  RobustBatch batch(eval, opt.threads, opt.robust);
-  MilpEncoding encoding(scenario, opt.robust.gamma);
-  milp::Options milp_opt = opt.milp;
-  if (opt.metrics != nullptr) {
-    milp_opt.metrics = opt.metrics;
-  }
-  const SoundFloor floor(scenario, eval.settings().sim, opt.robust.gamma,
+  RobustBatch batch(eval, scope.threads(), run.robust);
+  MilpEncoding encoding(scenario, run.robust.gamma);
+  // The run's registry, so the milp.* counters land in the run's
+  // snapshot delta (ExplorationResult/SweepResult::milp_bnb_nodes).
+  obs::MetricsRegistry& reg = scope.registry();
+  milp::Options milp_opt;
+  milp_opt.metrics = &reg;
+  const int max_levels = run.budget >= 0 ? run.budget : 10'000;
+  const SoundFloor floor(scenario, eval.settings().sim, run.robust.gamma,
                          opt.pdr_mins);
-  const auto count = [&](const char* name) {
-    if (opt.metrics != nullptr) opt.metrics->counter(name).add(1);
-  };
   const auto close = [&](WalkRung& r) {
     r.open = false;
-    count("walk.rungs_closed");
+    reg.counter("walk.rungs_closed").add(1);
   };
 
   WalkResult res;
@@ -153,10 +140,10 @@ WalkResult walk_levels(const model::Scenario& scenario, Evaluator& eval,
                        [](const WalkRung& r) { return r.open; });
   };
 
-  while (res.levels_evaluated < opt.max_levels) {
+  while (res.levels_evaluated < max_levels) {
     // ---- RunMILP ------------------------------------------------------
     const MilpRound round = [&] {
-      obs::ScopedTimer timer(opt.metrics, "walk.milp_s");
+      obs::ScopedTimer timer(&reg, "walk.milp_s");
       return encoding.run_milp(milp_opt);
     }();
     if (round.candidates.empty()) {
@@ -172,14 +159,14 @@ WalkResult walk_levels(const model::Scenario& scenario, Evaluator& eval,
       WalkRung& r = res.rungs[ri];
       if (!r.open || !r.feasible) continue;
       bool stop = false;
-      switch (opt.bound) {
+      switch (run.bound) {
         case TerminationBound::kNone:
           break;
         case TerminationBound::kSoundFloor:
           stop = floor.certifies(round.power_mw, ri, r.best.power_mw);
           break;
         case TerminationBound::kPaperAlpha:
-          stop = alpha_stops(r, round.power_mw, opt.alpha_kappa);
+          stop = alpha_stops(r, round.power_mw, run.alpha_kappa);
           break;
       }
       if (stop) close(r);
@@ -188,7 +175,7 @@ WalkResult walk_levels(const model::Scenario& scenario, Evaluator& eval,
 
     // ---- RunSim and Sort ------------------------------------------------
     const std::vector<RobustEvaluation> revs = [&] {
-      obs::ScopedTimer timer(opt.metrics, "walk.sim_s");
+      obs::ScopedTimer timer(&reg, "walk.sim_s");
       return batch.evaluate(round.candidates);
     }();
     ++res.levels_evaluated;
@@ -225,7 +212,7 @@ WalkResult walk_levels(const model::Scenario& scenario, Evaluator& eval,
 
     // ---- Update: cut the exhausted level --------------------------------
     encoding.add_power_cut_above(round.power_mw);
-    count("walk.cuts_added");
+    reg.counter("walk.cuts_added").add(1);
   }
   res.complete = !any_open();
   return res;
@@ -237,7 +224,7 @@ ExplorationResult run_algorithm1(const model::Scenario& scenario,
                                  Evaluator& eval,
                                  const ExplorationOptions& opt) {
   return walk_explorer(ExplorerKind::kAlgorithm1, scenario, eval, opt,
-                       opt.bound, /*patience=*/0);
+                       /*patience=*/0);
 }
 
 /// Levels the fast-ILP heuristic climbs past a feasible incumbent
@@ -251,8 +238,10 @@ constexpr int kPatience = 2;
 ExplorationResult run_fast_ilp(const model::Scenario& scenario,
                                Evaluator& eval,
                                const ExplorationOptions& opt) {
-  return walk_explorer(ExplorerKind::kFastIlp, scenario, eval, opt,
-                       TerminationBound::kNone, kPatience);
+  ExplorationOptions none = opt;
+  none.bound = TerminationBound::kNone;
+  return walk_explorer(ExplorerKind::kFastIlp, scenario, eval, none,
+                       kPatience);
 }
 
 }  // namespace hi::dse

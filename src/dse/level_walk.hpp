@@ -9,14 +9,19 @@
 // rung closes when its bound certifies that no later level can beat
 // its incumbent (kSoundFloor, kPaperAlpha; kNone never), or when
 // `patience` consecutive levels left its feasible incumbent unchanged.
-// The walk ends when the MILP runs dry, every rung is closed, or
-// max_levels levels were evaluated.
+// The walk ends when the MILP runs dry, every rung is closed, or the
+// run's budget of evaluated levels is spent.
 //
-// run_algorithm1 is the walk at one rung under ExplorationOptions::bound
-// and run_fast_ilp the walk at one rung with patience 2 (both defined in
-// level_walk.cpp); pareto::ladder_front is the walk at every ladder rung
-// with the sound floor.  Only the walk calls run_milp and
-// add_power_cut_above, and only it records the `walk.*` counters.
+// The walk reads the run it belongs to: the bound, alpha_kappa, budget
+// (-1 = 10'000 levels) and robustness of the RunScope's
+// ExplorationOptions, and the scope's worker threads and registry.
+// WalkOptions adds only what differs between its callers: the rungs,
+// the patience rule and the per-level callback.  run_algorithm1 is the
+// walk at one rung and run_fast_ilp the walk at one rung on a copy of
+// the options with kNone and patience 2 (both defined in
+// level_walk.cpp); pareto::ladder_front is the walk at every ladder
+// rung.  Only the walk calls run_milp and add_power_cut_above, and only
+// it records the `walk.*` counters.
 #pragma once
 
 #include <functional>
@@ -42,24 +47,15 @@ struct WalkResult {
   std::vector<WalkRung> rungs;  ///< aligned with WalkOptions::pdr_mins
   int levels_proposed = 0;      ///< non-empty MILP rounds
   int levels_evaluated = 0;     ///< levels handed to RunSim
-  /// Every rung closed (or the MILP ran dry); false only when
-  /// max_levels stopped the walk.
+  /// Every rung closed (or the MILP ran dry); false only when the
+  /// level budget stopped the walk.
   bool complete = false;
 };
 
-/// Controls of one walk; see the file comment.
+/// What a walk adds to its run's options; see the file comment.
 struct WalkOptions {
   std::vector<double> pdr_mins;  ///< the rungs, reported in this order
-  TerminationBound bound = TerminationBound::kSoundFloor;
-  double alpha_kappa = model::kLossDiscountKappa;  ///< kPaperAlpha only
-  int patience = 0;            ///< 0 = no patience rule
-  int max_levels = 10'000;     ///< safety valve on evaluated levels
-  int threads = 0;             ///< RobustBatch workers
-  RobustnessOptions robust{};  ///< Γ protects the levels and the floor
-  milp::Options milp{};
-  /// Registry for `walk.*`, and for `milp.*` (it overrides
-  /// milp.metrics); null = not observed.
-  obs::MetricsRegistry* metrics = nullptr;
+  int patience = 0;              ///< 0 = no patience rule
   /// Called after each level's RunSim and Sort, before its cut; `revs`
   /// is aligned with round.candidates.  Empty = none.
   std::function<void(const MilpRound& round,
@@ -68,10 +64,12 @@ struct WalkOptions {
       on_level;
 };
 
-/// See file comment.  Throws hi::ModelError for kPaperAlpha on a robust
-/// run (the α discount has no sound robust reading) and for invalid
-/// RobustnessOptions or threads.
+/// See file comment; `scope` must be the run's scope over `eval`.
+/// Throws hi::ModelError for kPaperAlpha on a robust run (the α
+/// discount has no sound robust reading) and for invalid
+/// RobustnessOptions.
 [[nodiscard]] WalkResult walk_levels(const model::Scenario& scenario,
-                                     Evaluator& eval, const WalkOptions& opt);
+                                     Evaluator& eval, const RunScope& scope,
+                                     const WalkOptions& opt);
 
 }  // namespace hi::dse

@@ -20,7 +20,7 @@ BatchEvaluator::BatchEvaluator(dse::Evaluator& eval, int threads)
 std::vector<const dse::Evaluation*> BatchEvaluator::evaluate(
     const std::vector<model::NetworkConfig>& cfgs) {
   // Resolved per call: explorers install a per-run registry into the
-  // evaluator (see dse::detail::RunScope), so the active one can change
+  // evaluator (see dse::RunScope), so the active one can change
   // between batches.  Counters are atomic, so concurrent batches on the
   // same registry are fine; exec.* totals are schedule-dependent (serial
   // mode schedules no tasks) and deliberately not part of the

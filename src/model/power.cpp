@@ -1,5 +1,8 @@
 #include "model/power.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "common/assert.hpp"
 #include "common/units.hpp"
 
@@ -55,13 +58,9 @@ double power_lower_bound_mw(const NetworkConfig& cfg, double pdr_min,
              "pdr_min must be in [0,1], got " << pdr_min);
   HI_REQUIRE(kappa > 0.0 && kappa <= 1.0,
              "kappa must be in (0,1], got " << kappa);
-  // Routing-free floor with undiscounted own transmissions (see header).
-  const int n = cfg.topology.count();
-  const double duty =
-      cfg.app.throughput_pps * packet_duration_s(cfg.radio, cfg.app);
-  return cfg.app.baseline_mw +
-         duty * (cfg.radio.tx_mw +
-                 kappa * pdr_min * 2.0 * (n - 1) * cfg.radio.rx_mw);
+  // The uniform loss discount on the radio share of Eq. (9).
+  const double p = node_power_mw(cfg);
+  return cfg.app.baseline_mw + kappa * pdr_min * (p - cfg.app.baseline_mw);
 }
 
 double measured_power_floor_mw(const NetworkConfig& cfg, double pdr_min,
@@ -136,8 +135,10 @@ double alpha_factor(const NetworkConfig& cfg, double pdr_min, double kappa) {
   const double p = node_power_mw(cfg);
   const double lb = power_lower_bound_mw(cfg, pdr_min, kappa);
   HI_ASSERT(lb > 0.0);
-  HI_ASSERT_MSG(p >= lb, "analytic power " << p << " below lower bound "
-                                           << lb);
+  // At kappa * pdr_min = 1, Pbl + (p - Pbl) may round one ulp above p.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  HI_ASSERT_MSG(lb <= std::nextafter(p, kInf),
+                "analytic power " << p << " below lower bound " << lb);
   return p / lb;
 }
 

@@ -36,36 +36,36 @@ namespace hi::model {
 [[nodiscard]] double analytic_nlt_s(const NetworkConfig& cfg);
 
 /// Safety factor of the packet-loss power discount (see
-/// power_lower_bound_mw).  kappa = 1 is the paper's literal P̄lb reading
-/// ("the minimum power a node must consume for the specified PDR
-/// bound"); values below 1 make the bound — and therefore Algorithm 1's
-/// α-termination — more conservative.  bench_ablation_alpha sweeps this.
+/// power_lower_bound_mw), in (0, 1].  kappa = 1 is the paper's literal
+/// P̄lb reading ("the minimum power a node must consume for the
+/// specified PDR bound"); values below 1 make the bound — and therefore
+/// Algorithm 1's α-termination — more conservative.
+/// bench_ablation_alpha sweeps this.
 inline constexpr double kLossDiscountKappa = 1.0;
 
-/// Analytic lower bound P̄lb on the power a node must consume while the
-/// network still meets `pdr_min` (Sec. 3, the α-termination):
+/// The paper's analytic lower bound P̄lb on the power a node of `cfg`'s
+/// cell consumes while the network still meets `pdr_min` (Sec. 3, the
+/// α-termination): the radio share of Eq. (9) shrinks in proportion to
+/// the delivered fraction,
 ///
-///   P̄lb = Pbl + φ Tpkt (TxmW + kappa * pdr_min * 2 (N-1) RxmW).
+///   P̄lb = Pbl + kappa * pdr_min * (P̄ - Pbl),   P̄ = node_power_mw(cfg).
 ///
-/// Two deliberate choices make this safe for every routing scheme:
-///
-///  * the radio term is *routing-free* (the star expression, the
-///    cheapest per-round transaction pattern): a mesh configuration's
-///    relay traffic can collapse almost entirely — CSMA relay storms
-///    collide, faded copies are never rebroadcast — so only the
-///    own-traffic + reception floor common to every scheme is assumed;
-///  * only the receptions are discounted by the delivery ratio; own
-///    originals keep full duty, which is what the paper's α reading
-///    implies but is NOT a guarantee the simulator honors — saturated
-///    CSMA access can drop packets before they are ever transmitted, and
-///    the fuzzer found cells whose measured power sits below this value.
-///    Use it for the paper-faithful α factor; Algorithm 1's sound
-///    termination compares against measured_power_floor_mw instead.
+/// This is the uniform loss discount the level walk's kPaperAlpha stop
+/// rule applies to the incumbent's cell (dse/level_walk.cpp, through
+/// alpha_factor).  It is NOT a bound the simulator honours: a CSMA mesh
+/// whose relay storms collide measures far below P̄lb, and the
+/// exhaustive cross-check caught a pruned level that hid the optimum
+/// (DESIGN.md §5).  The sound termination compares against
+/// measured_power_floor_mw instead.
+/// Throws hi::ModelError for pdr_min outside [0, 1] or kappa outside
+/// (0, 1].
 [[nodiscard]] double power_lower_bound_mw(const NetworkConfig& cfg,
                                           double pdr_min,
                                           double kappa = kLossDiscountKappa);
 
-/// α(S, PDRmin) = P̄ / P̄lb >= 1 used by Algorithm 1's termination test.
+/// α(S, PDRmin) = P̄ / P̄lb, the factor of Algorithm 1's kPaperAlpha
+/// test P̄*/α(S*, PDRmin) > P̄min.  At least 1 up to one rounding step
+/// (P̄lb = P̄ exactly in real arithmetic when kappa * pdr_min = 1).
 [[nodiscard]] double alpha_factor(const NetworkConfig& cfg, double pdr_min,
                                   double kappa = kLossDiscountKappa);
 
@@ -74,10 +74,9 @@ inline constexpr double kLossDiscountKappa = 1.0;
 /// — the bound Algorithm 1's kSoundFloor termination compares against
 /// incumbent simulated powers.
 ///
-/// Unlike power_lower_bound_mw (the paper's P̄lb, which assumes full
-/// own-traffic duty and 2(N-1) receptions per packet), this is derived
-/// from what a delivery *provably* costs in the simulator's energy
-/// accounting:
+/// Unlike power_lower_bound_mw (the paper's P̄lb, a uniform discount of
+/// the analytic radio power), this is derived from what a delivery
+/// *provably* costs in the simulator's energy accounting:
 ///
 ///  * routing deduplicates, so every counted delivery is a distinct
 ///    unicast packet — its origin charged >= one full packet airtime of

@@ -1,7 +1,12 @@
 // hi-opt: frontier sweep drivers (DESIGN.md §14).
 //
 // Two ways to produce a front for a scenario, sharing one Evaluator
-// (and therefore its cache, its store warm-start, and its counters):
+// (and therefore its cache, its store warm-start, and its counters).
+// Both are runs like any explorer's: SweepOptions::run is the one
+// dse::ExplorationOptions bag (threads, robustness, the walk's bound
+// and level budget, registry, progress), and each sweep runs inside a
+// dse::RunScope, which validates it, resolves the registry and fills
+// the result's counts:
 //
 //  * exhaustive_front — batch-evaluates every feasible configuration
 //    and keeps the non-dominated set.  The definitive exact front, and
@@ -11,17 +16,18 @@
 //    Algorithm 1's loop for every rung of the PDRmin ladder at once.
 //    One MilpEncoding proposes levels in ascending analytic power, each
 //    level is batch-evaluated once, every open rung keeps its lex_before
-//    minimum of the shared evaluations, and a rung closes when the sound
-//    floor certifies it.  Each front point therefore costs at most one
-//    MILP solve plus simulations that the other rungs (or a warm store)
-//    already paid for, and rung p equals Algorithm 1 at PDRmin p bit for
-//    bit (check::check_alg1_matches_ladder).
+//    minimum of the shared evaluations, and a rung closes when the run's
+//    bound (the sound floor by default) certifies it.  Each front point
+//    therefore costs at most one MILP solve plus simulations that the
+//    other rungs (or a warm store) already paid for, and rung p equals
+//    Algorithm 1 at PDRmin p under the same options bit for bit
+//    (check::check_alg1_matches_ladder).
 //
-//    A certified rung optimum is globally non-dominated: any dominator
-//    would need PDR >= the rung bound and power <= the optimum, hence be
-//    an explored candidate ordered before the lex_before minimum — a
-//    contradiction.  The emitted front is the non-dominated subset of
-//    the certified rung optima.
+//    A rung optimum the sound floor certified is globally non-dominated:
+//    any dominator would need PDR >= the rung bound and power <= the
+//    optimum, hence be an explored candidate ordered before the
+//    lex_before minimum — a contradiction.  The emitted front is the
+//    non-dominated subset of the rung optima.
 //
 // RobustnessOptions compose: candidates are always folded through
 // dse::RobustBatch, objectives are (robust power, worst-case PDR,
@@ -32,43 +38,35 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dse/evaluator.hpp"
+#include "dse/explorer.hpp"
 #include "dse/robustness.hpp"
-#include "milp/solver.hpp"
 #include "model/design_space.hpp"
-#include "obs/metrics.hpp"
 #include "pareto/front.hpp"
 
 namespace hi::pareto {
 
-/// Sweep controls shared by both drivers.
+/// Sweep controls shared by both drivers: what a sweep adds to a run.
 struct SweepOptions {
   /// PDRmin rungs of the ladder (any order; deduplicated and sorted
   /// ascending internally).  Also used by exhaustive_front to report
   /// per-rung optima.  Default: the paper's Fig. 3 sweep range.
   std::vector<double> pdr_ladder = {0.50, 0.60, 0.70, 0.80,
                                     0.90, 0.95, 0.99};
-  /// Worker threads for batch evaluation (0 = serial; results are
-  /// bit-identical at any value, see exec::BatchEvaluator).
-  int threads = 0;
-  /// Γ / K / confidence; nominal by default (see file comment).
-  dse::RobustnessOptions robust{};
-  /// Inner MILP solver options (ladder_front only).
-  milp::Options milp{};
   /// ε-dominance knob for the emitted front.
   FrontOptions front{};
-  /// Safety valve on evaluated MILP levels (ladder_front only).
-  int max_rounds = 10'000;
-  /// Observability registry (null = not observed; `pareto.*` counters).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Called after each completed MILP round (ladder_front) or once after
-  /// the sweep's evaluation (exhaustive_front) with the rounds done so
-  /// far.  The hi_pareto CLI syncs its store here — which makes this the
-  /// crash-injection point the resume-after-kill smoke drives.
-  std::function<void(int rounds)> progress;
+  /// The run: threads, robust (nominal by default), metrics; for
+  /// ladder_front also bound, alpha_kappa and budget (the walk's
+  /// evaluated-level valve).  pdr_min is unused (the ladder replaces
+  /// it).  progress is called after each evaluated MILP level
+  /// (ladder_front: kind kAlgorithm1, the lowest rung's incumbent) or
+  /// once after the evaluation (exhaustive_front: kind kExhaustive),
+  /// with `iteration` the levels done so far (1 for exhaustive).  The
+  /// hi_pareto CLI syncs its store there — which makes it the
+  /// crash-injection point the resume-after-kill test drives.
+  dse::ExplorationOptions run{};
 };
 
 /// Per-rung outcome: the certified minimum-power point meeting the
@@ -92,7 +90,7 @@ struct SweepResult {
   std::uint64_t store_hits = 0;   ///< simulations served by a warm store
   std::uint64_t milp_rounds = 0;  ///< ladder only: levels proposed
   std::uint64_t milp_bnb_nodes = 0;  ///< ladder only: `milp.bnb_nodes`
-  bool complete = true;  ///< false only when max_rounds stopped the ladder
+  bool complete = true;  ///< false only when run.budget stopped the ladder
   double wall_time_s = 0.0;
 };
 

@@ -99,7 +99,12 @@ RecordLog::RecordLog(const std::string& path, const RecordFn& on_record,
   // non-empty must carry the exact magic + version — refusing to touch a
   // foreign file beats silently clearing it.
   if (data.empty()) {
-    HI_REQUIRE(!read_only, "store log '" << path << "' does not exist");
+    if (read_only) {
+      // A writer created the file and has not written its header yet
+      // (or was killed in between): an empty log with nothing to scan.
+      end_ = 0;
+      return;
+    }
     char header[kFileHeaderBytes];
     std::memcpy(header, kMagic, sizeof kMagic);
     store_u32(header + sizeof kMagic, kFormatVersion);

@@ -63,7 +63,8 @@ enum class FsyncPolicy {
 /// never mutate the file (no creation, no recovery truncation).
 enum class OpenMode {
   kReadWrite,  ///< create if absent; truncate away recovered damage
-  kReadOnly,   ///< the file must exist; classification only
+  kReadOnly,   ///< the file must exist (empty = no records);
+               ///< classification only
 };
 
 [[nodiscard]] const char* to_string(OpenMode m);

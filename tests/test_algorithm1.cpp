@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/assert.hpp"
+
 namespace hi::dse {
 namespace {
 
@@ -62,6 +64,26 @@ TEST(Algorithm1, StopsWithinIterationBudget) {
   opt.budget = 2;  // artificially tight
   const ExplorationResult res = run_algorithm1(small_scenario(), ev, opt);
   EXPECT_LE(res.iterations, 2);
+}
+
+TEST(Algorithm1, RejectsAlphaKappaOutsideUnitIntervalAndBadBudget) {
+  // kappa <= 0 disables the alpha rule (the walk runs the MILP dry) and
+  // kappa > 1 inflates it; a budget below -1 is no budget at all.  All
+  // are rejected before anything is simulated.
+  Evaluator ev(fast_settings());
+  ExplorationOptions opt;
+  opt.pdr_min = 0.9;
+  opt.bound = TerminationBound::kPaperAlpha;
+  for (const double kappa : {-1.0, 0.0, 3.0}) {
+    ExplorationOptions bad = opt;
+    bad.alpha_kappa = kappa;
+    EXPECT_THROW((void)run_algorithm1(small_scenario(), ev, bad), ModelError)
+        << "kappa " << kappa;
+  }
+  ExplorationOptions bad = opt;
+  bad.budget = -7;
+  EXPECT_THROW((void)run_algorithm1(small_scenario(), ev, bad), ModelError);
+  EXPECT_EQ(ev.total_simulations(), 0u);
 }
 
 TEST(Algorithm1, AlphaTerminationPreservesOptimality) {

@@ -44,9 +44,13 @@ TEST(Metamorphic, Algorithm1EqualsTheLadderRungNominal) {
   for (const std::uint64_t seed : {55ULL, 4001ULL, 4002ULL}) {
     const ScenarioSpec spec = make_scenario(seed);
     dse::Evaluator eval(spec.settings);
-    expect_clean(check_alg1_matches_ladder(spec.scenario, eval,
-                                           {0.3, 0.6, 0.8, 0.9}, {}),
-                 spec, "alg1_vs_ladder");
+    for (const dse::TerminationBound bound :
+         {dse::TerminationBound::kSoundFloor,
+          dse::TerminationBound::kPaperAlpha}) {
+      expect_clean(check_alg1_matches_ladder(spec.scenario, eval,
+                                             {0.3, 0.6, 0.8, 0.9}, {}, bound),
+                   spec, "alg1_vs_ladder");
+    }
   }
 }
 
@@ -56,7 +60,8 @@ TEST(Metamorphic, Algorithm1EqualsTheLadderRungRobust) {
     dse::Evaluator eval(spec.settings);
     expect_clean(check_alg1_matches_ladder(spec.scenario, eval,
                                            {0.3, 0.6, 0.8, 0.9},
-                                           dse::RobustnessOptions{2, 3, 0.95}),
+                                           dse::RobustnessOptions{2, 3, 0.95},
+                                           dse::TerminationBound::kSoundFloor),
                  spec, "alg1_vs_ladder");
   }
 }

@@ -168,36 +168,36 @@ void run_scenario(std::uint64_t seed, bool latency) {
   spec.settings.sim.collect_latency = latency;
   dse::Evaluator eval(spec.settings);
   const std::string tag = "s" + std::to_string(seed) + ".";
-  const auto run = [&](const std::string& name, const dse::Explorer& ex,
+  const auto run = [&](const std::string& name, dse::ExplorerKind kind,
                        const dse::ExplorationOptions& opt) {
     eval.reset_counters();
-    expect_pin(pin_of(tag + name, ex.run(spec.scenario, eval, opt)),
+    expect_pin(pin_of(tag + name, dse::explore(kind, spec.scenario, eval, opt)),
                explorer_pins());
   };
 
   dse::ExplorationOptions opt;
   opt.pdr_min = 0.7;
-  run("alg1.sound", dse::Explorer::algorithm1(), opt);
+  run("alg1.sound", dse::ExplorerKind::kAlgorithm1, opt);
   dse::ExplorationOptions alpha = opt;
   alpha.bound = dse::TerminationBound::kPaperAlpha;
-  run("alg1.alpha", dse::Explorer::algorithm1(), alpha);
+  run("alg1.alpha", dse::ExplorerKind::kAlgorithm1, alpha);
   dse::ExplorationOptions dry = opt;
   dry.bound = dse::TerminationBound::kNone;
-  run("alg1.none", dse::Explorer::algorithm1(), dry);
-  run("fast_ilp", dse::Explorer::fast_ilp(), opt);
+  run("alg1.none", dse::ExplorerKind::kAlgorithm1, dry);
+  run("fast_ilp", dse::ExplorerKind::kFastIlp, opt);
   dse::ExplorationOptions sa = opt;
   sa.budget = 60;
-  run("annealing", dse::Explorer::annealing(), sa);
-  run("exhaustive", dse::Explorer::exhaustive(), opt);
+  run("annealing", dse::ExplorerKind::kAnnealing, sa);
+  run("exhaustive", dse::ExplorerKind::kExhaustive, opt);
   dse::ExplorationOptions robust = opt;
   robust.robust = dse::RobustnessOptions{2, 3, 0.9};
-  run("alg1.robust", dse::Explorer::algorithm1(), robust);
+  run("alg1.robust", dse::ExplorerKind::kAlgorithm1, robust);
 
   pareto::SweepOptions sweep;
   sweep.pdr_ladder = {0.5, 0.7, 0.9};
   for (const bool ladder : {false, true}) {
     obs::MetricsRegistry reg;
-    sweep.metrics = &reg;
+    sweep.run.metrics = &reg;
     eval.reset_counters();
     const pareto::SweepResult res =
         ladder ? pareto::ladder_front(spec.scenario, eval, sweep)

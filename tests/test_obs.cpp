@@ -303,20 +303,20 @@ model::Scenario small_scenario() {
 }
 
 TEST(ObsExplorers, SnapshotSimulationsEqualLegacyFieldAtAnyThreadCount) {
-  for (Explorer ex : Explorer::all()) {
-    SCOPED_TRACE(ex.name());
+  for (const ExplorerKind kind : kAllExplorers) {
+    SCOPED_TRACE(to_string(kind));
     ExplorationOptions opt;
     opt.pdr_min = 0.7;
-    if (ex.kind() == ExplorerKind::kAnnealing) {
+    if (kind == ExplorerKind::kAnnealing) {
       opt.budget = 60;
     }
     Evaluator serial(fast_settings(0));
-    const ExplorationResult a = ex.run(small_scenario(), serial, opt);
+    const ExplorationResult a = explore(kind, small_scenario(), serial, opt);
     EXPECT_GT(a.simulations, 0u);
     EXPECT_EQ(a.metrics.counter("dse.simulations"), a.simulations);
 
     Evaluator parallel(fast_settings(4));
-    const ExplorationResult b = ex.run(small_scenario(), parallel, opt);
+    const ExplorationResult b = explore(kind, small_scenario(), parallel, opt);
     EXPECT_EQ(b.metrics.counter("dse.simulations"), b.simulations);
     EXPECT_EQ(a.metrics.counter("dse.simulations"),
               b.metrics.counter("dse.simulations"));

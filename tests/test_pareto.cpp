@@ -261,7 +261,7 @@ TEST(Sweep, ThreadCountInvariant) {
   const auto run_at = [&](int threads) {
     dse::Evaluator eval(spec.settings);
     pareto::SweepOptions opt;
-    opt.threads = threads;
+    opt.run.threads = threads;
     return pareto::exhaustive_front(spec.scenario, eval, opt);
   };
   const pareto::SweepResult serial = run_at(0);
@@ -289,12 +289,23 @@ TEST(Sweep, InvalidRobustnessOptionsAreRejected) {
   const check::ScenarioSpec spec = check::make_scenario(11);
   dse::Evaluator eval(spec.settings);
   pareto::SweepOptions opt;
-  opt.robust.realizations = 0;  // inactive, yet invalid: must not run
+  opt.run.robust.realizations = 0;  // inactive, yet invalid: must not run
   EXPECT_THROW((void)pareto::ladder_front(spec.scenario, eval, opt),
                ModelError);
-  opt.robust = dse::RobustnessOptions{-2, 1, 0.95};
+  opt.run.robust = dse::RobustnessOptions{-2, 1, 0.95};
   EXPECT_THROW((void)pareto::exhaustive_front(spec.scenario, eval, opt),
                ModelError);
+  // The run's own options are validated by its scope, as an explorer's.
+  pareto::SweepOptions budget;
+  budget.run.budget = -2;
+  pareto::SweepOptions threads;
+  threads.run.threads = -2;
+  for (const pareto::SweepOptions& bad : {budget, threads}) {
+    EXPECT_THROW((void)pareto::ladder_front(spec.scenario, eval, bad),
+                 ModelError);
+    EXPECT_THROW((void)pareto::exhaustive_front(spec.scenario, eval, bad),
+                 ModelError);
+  }
   EXPECT_EQ(eval.total_simulations(), 0u);
 }
 

@@ -332,9 +332,10 @@ TEST(RobustDse, InvalidOptionsAreRejectedByEveryExplorer) {
         dse::RobustnessOptions{0, 1, 1.5}}) {
     dse::ExplorationOptions opt;
     opt.robust = bad;
-    for (const dse::Explorer& ex : dse::Explorer::all()) {
-      EXPECT_THROW((void)ex.run(spec.scenario, eval, opt), ModelError)
-          << ex.name() << " gamma " << bad.gamma << " K "
+    for (const dse::ExplorerKind kind : dse::kAllExplorers) {
+      EXPECT_THROW((void)dse::explore(kind, spec.scenario, eval, opt),
+                   ModelError)
+          << dse::to_string(kind) << " gamma " << bad.gamma << " K "
           << bad.realizations << " confidence " << bad.confidence;
     }
   }

@@ -111,6 +111,22 @@ TEST(RecordLog, RejectsOversizedAppendAndForeignFiles) {
   std::remove(path.c_str());
 }
 
+// A read-only open can race a writer that has created its file but not
+// yet written the header (a campaign worker scanning a peer's new
+// shard): the empty file is an empty, clean log.
+TEST(RecordLog, ReadOnlyOpenOfAnEmptyFileIsAnEmptyLog) {
+  const std::string path = temp_path("empty");
+  write_file(path, "");
+  const OpenResult r = open_and_scan(path, /*read_only=*/true);
+  EXPECT_TRUE(r.payloads.empty());
+  EXPECT_TRUE(r.stats.clean());
+  EXPECT_TRUE(store::EvalStore::audit(path).clean());
+  EXPECT_EQ(RecordLog(path, nullptr, {.mode = OpenMode::kReadOnly})
+                .size_bytes(),
+            0u);
+  std::remove(path.c_str());
+}
+
 // The classic kill -9 artifact: the log is cut at *every* byte boundary
 // of its last record.  Recovery must truncate exactly the partial frame,
 // keep every whole one, and leave a file that then audits clean.

@@ -59,6 +59,10 @@ int run(int argc, char** argv) {
   bool collect_latency = true;
   int kill_after_rounds = -1;
   hi::pareto::SweepOptions sweep;
+  // Spelled out, so the usage text shows them: serial, and the walk's
+  // 10'000-level safety valve.
+  sweep.run.threads = 0;
+  sweep.run.budget = 10'000;
   hi::dse::EvaluatorSettings settings;
 
   cli::FlagTable table({"[options]", "--dump-scenario"});
@@ -71,9 +75,9 @@ int run(int argc, char** argv) {
       .add(flags::scenario(cli::text(scenario_path)))
       .add(flags::gen_seed(cli::number(gen_seed)))
       .add(flags::pdr_min(sweep.pdr_ladder))
-      .add(flags::gamma(sweep.robust.gamma))
-      .add(flags::realizations(sweep.robust.realizations))
-      .add(flags::confidence(sweep.robust.confidence))
+      .add(flags::gamma(sweep.run.robust.gamma))
+      .add(flags::realizations(sweep.run.robust.realizations))
+      .add(flags::confidence(sweep.run.robust.confidence))
       .add({"--epsilon-power", "MW", "power epsilon-dominance (0 = strict)",
             cli::number(sweep.front.epsilon_power_mw, cli::at_least(0.0))})
       .add({"--epsilon-pdr", "P", "PDR epsilon-dominance (0 = strict)",
@@ -85,12 +89,12 @@ int run(int argc, char** argv) {
             cli::on(collect_latency, false)})
       .add(flags::store(store_path))
       .add(flags::out(out_path))
-      .add(flags::threads(sweep.threads))
+      .add(flags::threads(sweep.run.threads))
       .add(flags::tsim(settings.sim.duration_s))
       .add(flags::runs(settings.runs))
       .add(flags::seed(settings.sim.seed))
       .add({"--max-rounds", "N", "MILP round safety valve",
-            cli::number(sweep.max_rounds, cli::at_least(0))})
+            cli::number(sweep.run.budget, cli::at_least(0))})
       .add({"--kill-after-rounds", "N",
             "SIGKILL self after N completed rounds, the\n"
             "store synced first (crash test hook)",
@@ -143,14 +147,14 @@ int run(int argc, char** argv) {
   hi::store::WarmStartStats warm{};
   if (!store_path.empty()) {
     store = std::make_unique<hi::store::EvalStore>(store_path);
-    warm = hi::store::warm_start(eval, *store, sweep.robust.realizations);
+    warm = hi::store::warm_start(eval, *store, sweep.run.robust.realizations);
   }
 
-  sweep.progress = [&](int rounds) {
+  sweep.run.progress = [&](const hi::dse::ProgressInfo& info) {
     if (store != nullptr) {
       store->sync();  // a killed run never loses a completed round
     }
-    if (kill_after_rounds >= 0 && rounds >= kill_after_rounds) {
+    if (kill_after_rounds >= 0 && info.iteration >= kill_after_rounds) {
       std::raise(SIGKILL);
     }
   };
@@ -175,9 +179,10 @@ int run(int argc, char** argv) {
      << hi::store::settings_fingerprint(settings, tag).hex() << "\",\n";
   os << "  \"collect_latency\": " << (collect_latency ? "true" : "false")
      << ",\n";
-  os << "  \"robust\": {\"gamma\": " << sweep.robust.gamma
-     << ", \"realizations\": " << sweep.robust.realizations
-     << ", \"confidence\": " << fmt_double(sweep.robust.confidence) << "},\n";
+  os << "  \"robust\": {\"gamma\": " << sweep.run.robust.gamma
+     << ", \"realizations\": " << sweep.run.robust.realizations
+     << ", \"confidence\": " << fmt_double(sweep.run.robust.confidence)
+     << "},\n";
   os << "  \"epsilon\": {\"power_mw\": "
      << fmt_double(sweep.front.epsilon_power_mw)
      << ", \"pdr\": " << fmt_double(sweep.front.epsilon_pdr)
