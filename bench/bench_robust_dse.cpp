@@ -24,7 +24,7 @@ using namespace hi;
 
 /// Pinned settings: the exact-gated metrics (simulation counts, robust
 /// optima) are only reproducible under these, so the env knobs are
-/// deliberately ignored (as in bench_campaign_fabric).
+/// deliberately ignored.
 dse::EvaluatorSettings pinned_settings(bool quick) {
   dse::EvaluatorSettings s;
   s.sim.duration_s = quick ? 2.0 : 10.0;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Canonical perf-benchmark runner and regression gate (DESIGN.md §11).
 #
-#   scripts/bench.sh          full run: rebuild, run the five perf
+#   scripts/bench.sh          full run: rebuild, run the perf
 #                             benches with pinned seeds, validate the
 #                             hi-bench/v1 schema, gate against the
 #                             committed BENCH_*.json baselines (>10%
@@ -16,7 +16,6 @@
 # Benches: bench_des_perf (DES kernel + end-to-end sim + channel),
 # bench_milp_perf (simplex / branch-and-bound / DSE MILP round),
 # bench_parallel_speedup (hi::exec thread sweep + determinism gate),
-# bench_campaign_fabric (claim protocol, shard merge, 2-worker fleet),
 # bench_robust_dse (multi-realization K sweep, robust Alg 1 vs
 # fast-ILP), bench_fig3_tradeoff (paper Fig. 3 scatter + arrows),
 # bench_optimal_vs_pdrmin (Sec. 4.2 PDRmin ladder),
@@ -40,9 +39,8 @@ build_dir=build
 cmake -B "${build_dir}" -S . -DHI_BUILD_BENCH=ON >/dev/null
 cmake --build "${build_dir}" -j "$(nproc)" \
       --target bench_des_perf bench_milp_perf bench_parallel_speedup \
-               bench_campaign_fabric bench_robust_dse \
-               bench_fig3_tradeoff bench_optimal_vs_pdrmin \
-               bench_pareto_front
+               bench_robust_dse bench_fig3_tradeoff \
+               bench_optimal_vs_pdrmin bench_pareto_front
 
 if [[ "${quick}" == 1 ]]; then
   out_dir="$(mktemp -d)"
@@ -64,17 +62,15 @@ declare -A bench_env=(
   [des_perf]=""
   [milp_perf]=""
   [parallel]="${parallel_env[*]}"
-  [campaign]=""
   [robust]=""
   [fig3]=""
   [pdrmin]=""
   [pareto]=""
 )
 status=0
-for name in des_perf milp_perf parallel campaign robust fig3 pdrmin pareto; do
+for name in des_perf milp_perf parallel robust fig3 pdrmin pareto; do
   bin="${build_dir}/bench/bench_${name}"
   [[ "${name}" == parallel ]] && bin="${build_dir}/bench/bench_parallel_speedup"
-  [[ "${name}" == campaign ]] && bin="${build_dir}/bench/bench_campaign_fabric"
   [[ "${name}" == robust ]] && bin="${build_dir}/bench/bench_robust_dse"
   [[ "${name}" == fig3 ]] && bin="${build_dir}/bench/bench_fig3_tradeoff"
   [[ "${name}" == pdrmin ]] && bin="${build_dir}/bench/bench_optimal_vs_pdrmin"

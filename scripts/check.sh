@@ -70,30 +70,10 @@ echo "==> address: fuzz_dse robust sweep"
 ./build-address/tests/fuzz_dse --seed 1 --scenarios 40 --gamma 2 \
                                --realizations 3
 
-# Campaign-fabric crash smoke: a 2-worker mini-campaign in which worker
-# 0 SIGKILLs itself after its first checkpoint (--kill-slot) and
-# --no-steal pins its row, so the first run must end incomplete (exit
-# 3).  The --resume run recovers the dead worker's claim, completes the
-# grid (exit 0) with the takeover visible in fleet.json, and the merged
-# store must audit clean.  Runs the ASan-built CLI: the whole fork /
-# claim / merge path is swept for memory errors too.
-echo "==> campaign fabric crash/resume smoke (ASan CLI)"
-fabric_dir="${fuzz_dir}/fabric-smoke"
-fabric_cli=./build-address/tools/hi_campaign
-fabric_grid=(--gen-seed 5 --gen-seed 6 --pdr-min 0.5,0.7 --json)
-fabric_rc=0
-"${fabric_cli}" --shard-dir "${fabric_dir}" --workers 2 --no-steal \
-     --kill-slot 0 --kill-after-cells 1 "${fabric_grid[@]}" >/dev/null \
-  || fabric_rc=$?
-if [[ "${fabric_rc}" != 3 ]]; then
-  echo "fabric smoke: killed fleet exited ${fabric_rc}, expected 3" >&2
-  exit 1
-fi
-"${fabric_cli}" --shard-dir "${fabric_dir}" --workers 2 --resume \
-                "${fabric_grid[@]}" >/dev/null
-grep -q '"complete": true' "${fabric_dir}/fleet.json"
-grep -Eq '"recoveries": [1-9]' "${fabric_dir}/fleet.json"
-"${fabric_cli}" --audit "${fabric_dir}/merged.store" >/dev/null
+# hi_campaign's SIGKILL/resume path needs no separate smoke here:
+# run_suite address already runs tier-1 test_store_campaign, which
+# SIGKILLs the ASan-built CLI mid-grid (nominal and robust grids) and
+# resumes it on the same store.
 
 # Pareto frontier crash/resume smoke (DESIGN.md §14): a tiny generated
 # scenario on the ASan-built CLI.  The first run SIGKILLs itself after

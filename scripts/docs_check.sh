@@ -3,7 +3,7 @@
 #
 #   scripts/docs_check.sh
 #
-# Verifies five invariants that otherwise rot silently:
+# Verifies six invariants that otherwise rot silently:
 #   1. Every subsystem directory `src/<name>` has a DESIGN.md §2
 #      inventory row (a table row quoting `src/<name>`), not merely a
 #      passing mention.
@@ -19,6 +19,9 @@
 #   5. Every counter name in DESIGN.md §8's metric name inventory
 #      (`prefix.` + each backticked name, `{a, b}` expanded) occurs as a
 #      string literal in src/ — a renamed counter must rename its row.
+#   6. No file tracked by git is a run artifact: a store (`*.store`,
+#      `*.histore`), a log (`*.log`) or a `fleet.json` report — tests
+#      and tools write those under temp or build directories.
 # Paths under build*/ (generated trees) and placeholders containing
 # <...> or * are exempt.
 set -euo pipefail
@@ -121,8 +124,15 @@ for c in ${counters}; do
   fi
 done
 
+# --- 6. no run artifact is tracked -------------------------------------
+for a in $(git ls-files -- '*.store' '*.histore' '*.log' fleet.json \
+                            '*/fleet.json'); do
+  echo "docs_check: FAIL: run artifact ${a} is tracked by git" >&2
+  status=1
+done
+
 if [[ "${status}" != 0 ]]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines, counter names)"
+echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines, counter names, no tracked artifacts)"

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "check/scenario_gen.hpp"
-#include "common/assert.hpp"
 #include "store/json.hpp"
 
 namespace hi::campaign {
@@ -47,8 +46,8 @@ std::optional<CampaignPlan> CampaignPlan::build(const PlanSpec& spec,
 
   for (PlanRow& row : plan.rows_) {
     row.scenario_fp = store::scenario_fingerprint(row.scenario);
-    row.settings_fp =
-        store::settings_fingerprint(row.settings, spec.channel_tag);
+    row.settings_fp = store::settings_fingerprint(
+        row.settings, store::StoreOptions{}.channel_tag);
     row.cells.reserve(spec.pdr_grid.size());
     for (const double pdr_min : spec.pdr_grid) {
       const dse::ExplorationOptions run_opt = plan.cell_options(pdr_min);
@@ -67,14 +66,6 @@ dse::ExplorationOptions CampaignPlan::cell_options(double pdr_min) const {
   run_opt.threads = spec_.threads;
   run_opt.robust = spec_.robust;
   return run_opt;
-}
-
-std::string CampaignPlan::row_token(std::size_t row) const {
-  HI_REQUIRE(row < rows_.size(),
-             "row_token(" << row << ") out of range for a " << rows_.size()
-                          << "-row plan");
-  return "row-" + std::to_string(row) + "-" +
-         rows_[row].scenario_fp.hex().substr(0, 8);
 }
 
 }  // namespace hi::campaign

@@ -1,18 +1,18 @@
 // hi-opt: hi::campaign — the campaign plan.
 //
 // A campaign is a grid of (scenario × PDRmin) cells swept by one
-// explorer against one durable evaluation store (or, in fleet mode, a
-// sharded family of stores — see runner.hpp).  CampaignPlan is the
-// fully-resolved, immutable description of that grid: every scenario
-// row is loaded/generated up front, every fingerprint and CellKey is
-// precomputed, and the claim-file tokens the work-stealing dispatcher
-// uses are derived from row index + scenario fingerprint, so every
-// process in a fleet — and every later --resume — derives the exact
-// same plan from the exact same flags.
+// explorer against one durable evaluation store (see runner.hpp).
+// CampaignPlan is the fully-resolved, immutable description of that
+// grid: every scenario row is loaded/generated up front and every
+// fingerprint and CellKey is precomputed, so a later --resume derives
+// the exact same cell keys from the exact same flags.  Settings are
+// fingerprinted under the default store channel tag
+// (store::StoreOptions{}.channel_tag), the tag run_single() opens its
+// store with.
 //
 // The plan deliberately carries no I/O handles and no metrics: it is a
-// value the CLI builds once and hands to run_single()/run_fleet(), and
-// that tests build directly without spawning a process.
+// value the CLI builds once and hands to run_single(), and that tests
+// build directly without spawning a process.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +41,6 @@ struct PlanSpec {
   double tsim_s = 600.0;  ///< Tsim for JSON-file scenarios
   int runs = 3;           ///< replications per design point
   std::uint64_t seed = 1; ///< experiment seed root
-  /// Store channel-tag the settings fingerprint is computed under; must
-  /// match the StoreOptions the runner opens stores with.
-  std::string channel_tag = "default";
   /// Robust-evaluation knobs for every cell.  The default (inactive)
   /// keeps plans, fingerprints, and explorer behavior bit-identical to
   /// pre-robust campaigns; an active value flows into the cell options
@@ -57,9 +54,9 @@ struct PlanRow {
   model::Scenario scenario;
   dse::EvaluatorSettings settings;
   store::Digest scenario_fp;  ///< scenario_fingerprint(scenario)
-  store::Digest settings_fp;  ///< settings_fingerprint(settings, tag)
+  store::Digest settings_fp;  ///< under the default channel tag
   /// One CellKey per pdr_grid entry, in grid order.  These are the
-  /// checkpoint keys run_single() writes and the fabric audits against.
+  /// checkpoint keys run_single() writes and --resume looks up.
   std::vector<store::CellKey> cells;
 };
 
@@ -86,14 +83,6 @@ class CampaignPlan {
 
   /// The explorer the whole grid runs under.
   [[nodiscard]] dse::ExplorerKind explorer() const { return spec_.explorer; }
-
-  /// Stable claim-file token for a row: "row-<index>-<fp8>", where fp8
-  /// is the first 8 hex digits of the scenario fingerprint.  Index keeps
-  /// tokens unique when one scenario appears twice; the fingerprint
-  /// fragment makes a stale claims/ directory from a *different* grid
-  /// collide loudly obvious in a directory listing rather than silently
-  /// pairing up by index.
-  [[nodiscard]] std::string row_token(std::size_t row) const;
 
  private:
   PlanSpec spec_;

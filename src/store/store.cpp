@@ -1,7 +1,5 @@
 #include "store/store.hpp"
 
-#include <sys/stat.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -188,82 +186,6 @@ std::size_t EvalStore::preload_into(dse::Evaluator& eval,
     }
   }
   return n;
-}
-
-void EvalStore::for_each_eval(
-    const std::function<void(const Digest&, const model::NetworkConfig&,
-                             const dse::Evaluation&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, value] : evals_) {
-    fn(key.first, value.first.cfg, value.first.ev);
-  }
-}
-
-void EvalStore::for_each_cell(
-    const std::function<void(const CellKey&, const CellResult&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, value] : cells_) {
-    fn(key, value.first);
-  }
-}
-
-EvalStore::MergeStats EvalStore::merge(
-    const std::vector<std::string>& shard_paths, const std::string& out_path) {
-  MergeStats stats;
-  const std::string tmp = out_path + ".merging";
-  std::remove(tmp.c_str());
-  {
-    StoreOptions out_opt;
-    out_opt.fsync = FsyncPolicy::kNone;  // one sync() before the rename
-    EvalStore out(tmp, out_opt);
-    for (const std::string& shard : shard_paths) {
-      HI_REQUIRE(shard != out_path,
-                 "merge output '" << out_path << "' is also a shard input");
-      ShardMergeStats ss;
-      ss.path = shard;
-      struct ::stat st{};
-      if (::stat(shard.c_str(), &st) != 0) {
-        stats.shards.push_back(std::move(ss));  // absent: skip, keep the row
-        continue;
-      }
-      ss.present = true;
-      // Read-only: a live writer's half-appended tail frame (or real
-      // corruption) is classified and skipped, never repaired here.
-      const EvalStore in(shard, StoreOptions{.read_only = true});
-      ss.records = in.recovery_.records;
-      ss.corrupt_dropped = in.recovery_.corrupt_dropped;
-      ss.tail_truncated = in.recovery_.tail_truncated;
-      ss.desynced = in.recovery_.desynced;
-      in.for_each_eval([&](const Digest& fp, const model::NetworkConfig& cfg,
-                           const dse::Evaluation& ev) {
-        if (out.put(fp, cfg, ev)) {
-          ++ss.evals_added;
-        } else {
-          ++ss.duplicate_evals;  // another shard already paid for it
-        }
-      });
-      in.for_each_cell([&](const CellKey& key, const CellResult& res) {
-        if (out.find_cell(key)) {
-          // A checkpoint for this cell already merged (a stolen row's
-          // re-run): identical summary, keep the single frame.
-          ++ss.superseded_cells;
-        } else {
-          ++ss.cells_added;
-          out.put_cell(key, res);
-        }
-      });
-      stats.duplicate_evals += ss.duplicate_evals;
-      stats.superseded_cells += ss.superseded_cells;
-      stats.shards.push_back(std::move(ss));
-    }
-    stats.evals = out.eval_count();
-    stats.cells = out.cell_count();
-    stats.frames = stats.evals + stats.cells;
-    out.sync();
-  }
-  HI_REQUIRE(std::rename(tmp.c_str(), out_path.c_str()) == 0,
-             "shard merge rename failed: " << std::strerror(errno));
-  return stats;
 }
 
 EvalStore::CompactStats EvalStore::compact(const std::string& path) {

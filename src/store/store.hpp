@@ -22,8 +22,7 @@
 // The store keeps every decoded record in memory (a design space is
 // thousands of points, not millions) plus an offset index into the log;
 // compact() is the offline pass that rewrites a log dropping superseded
-// duplicates and corrupt frames.  All member functions are thread-safe —
-// parallel campaign cells share one store.
+// duplicates and corrupt frames.  All member functions are thread-safe.
 //
 // Warm start (warm_start()): preload every matching evaluation into a
 // dse::Evaluator and install a write-through sink so fresh simulations
@@ -42,14 +41,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "dse/evaluator.hpp"
 #include "store/record_log.hpp"
@@ -143,18 +140,6 @@ class EvalStore {
   std::size_t preload_into(dse::Evaluator& eval,
                            const Digest& settings_fp) const;
 
-  /// Visits every stored evaluation / cell checkpoint, in key order,
-  /// under the store lock — do not call back into the same store.
-  /// These are the iteration primitives merge() and the campaign
-  /// fabric's cross-shard scans are built on.
-  void for_each_eval(
-      const std::function<void(const Digest& settings_fp,
-                               const model::NetworkConfig& cfg,
-                               const dse::Evaluation& ev)>& fn) const;
-  void for_each_cell(
-      const std::function<void(const CellKey& key, const CellResult& res)>&
-          fn) const;
-
   /// Offline compaction outcome.
   struct CompactStats {
     std::uint64_t records_before = 0;  ///< valid records in the old log
@@ -172,54 +157,6 @@ class EvalStore {
   /// Read-only integrity scan: recovery stats for the log as it is on
   /// disk, file untouched.  clean() == byte-valid store.
   static RecoveryStats audit(const std::string& path);
-
-  /// What merge() found in (and kept from) one shard log.
-  struct ShardMergeStats {
-    std::string path;
-    bool present = false;  ///< the file existed (absent shards are skipped)
-    std::uint64_t records = 0;           ///< valid records decoded
-    std::uint64_t evals_added = 0;       ///< evaluations new to the merge
-    std::uint64_t cells_added = 0;       ///< cell checkpoints new to it
-    std::uint64_t duplicate_evals = 0;   ///< eval key already merged
-    std::uint64_t superseded_cells = 0;  ///< cell checkpoint replaced
-    std::uint64_t corrupt_dropped = 0;   ///< frames dropped (CRC/decode)
-    bool tail_truncated = false;         ///< shard ended on a torn frame
-    bool desynced = false;               ///< framing lost mid-shard
-  };
-
-  /// Fleet-level outcome of merge().
-  struct MergeStats {
-    std::vector<ShardMergeStats> shards;
-    std::uint64_t evals = 0;   ///< distinct evaluations in the merged log
-    std::uint64_t cells = 0;   ///< distinct cell checkpoints in it
-    std::uint64_t frames = 0;  ///< frames written (== evals + cells)
-    std::uint64_t duplicate_evals = 0;   ///< Σ shard duplicates
-    std::uint64_t superseded_cells = 0;  ///< Σ shard supersedes
-    /// True when every present shard was byte-valid (a torn tail or a
-    /// corrupt frame in one shard still merges the rest of that shard
-    /// and every other shard in full, but is not "clean").
-    [[nodiscard]] bool clean() const {
-      for (const ShardMergeStats& s : shards) {
-        if (s.corrupt_dropped > 0 || s.tail_truncated || s.desynced) {
-          return false;
-        }
-      }
-      return true;
-    }
-  };
-
-  /// Folds shard logs into one canonical store at `out_path`
-  /// (crash-safe: temp file, fsync, rename).  Shards are opened
-  /// read-only — a live writer or a torn/bit-flipped frame in any
-  /// single shard costs only the damaged frames of that shard; every
-  /// other record still merges.  Duplicate evaluations (two shards
-  /// paid for the same design point — identical bits by the common-
-  /// random-numbers contract) and duplicate cell checkpoints (a stolen
-  /// row re-checkpointed) are folded to one record each, counted per
-  /// shard.  Absent shard paths are recorded and skipped.  `out_path`
-  /// must not name one of the shards.
-  static MergeStats merge(const std::vector<std::string>& shard_paths,
-                          const std::string& out_path);
 
  private:
   struct StoredEval {

@@ -8,19 +8,23 @@
 //   - monotonicity of the robust optimum in Γ and in K;
 //   - bit-identical confidence intervals at any thread count;
 //   - per-(design, seed) store round-trip: a warm restart of a robust
-//     campaign re-simulates NOTHING, and a kill/resume fleet holds
-//     exactly the records a cold run pays for;
+//     campaign re-simulates NOTHING, and a SIGKILLed campaign worker
+//     resumed from its store holds exactly the records a cold run pays
+//     for;
 //   - the fast-ILP heuristic's contract: same feasibility verdict as
 //     exhaustive search, never better than the optimum, echoed CI.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/plan.hpp"
@@ -39,11 +43,6 @@
 namespace {
 
 using namespace hi;
-
-void remove_tree(const std::string& dir) {
-  const std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] const int rc = std::system(cmd.c_str());
-}
 
 TEST(RobustDse, RealizationSeedsAreNestedDeterministicAndDistinct) {
   const std::uint64_t root = 12345;
@@ -250,9 +249,9 @@ TEST(RobustDse, StoreRoundTripsPerRealizationRecordsWithZeroResimulation) {
 }
 
 TEST(RobustDse, FleetKillResumeHoldsExactlyTheColdRunsRecords) {
-  const std::string dir = "robust_fabric_dir";
-  const std::string cold_store = "robust_fabric_cold.store";
-  remove_tree(dir);
+  const std::string store_path = "robust_kill.store";
+  const std::string cold_store = "robust_kill_cold.store";
+  std::remove(store_path.c_str());
   std::remove(cold_store.c_str());
 
   campaign::PlanSpec spec;
@@ -263,6 +262,8 @@ TEST(RobustDse, FleetKillResumeHoldsExactlyTheColdRunsRecords) {
   std::string err;
   const auto plan = campaign::CampaignPlan::build(spec, &err);
   ASSERT_TRUE(plan) << err;
+  const std::size_t n_cells = plan->cell_count();
+  ASSERT_GE(n_cells, 2u);
 
   campaign::RunConfig cold_cfg;
   cold_cfg.store_path = cold_store;
@@ -274,31 +275,58 @@ TEST(RobustDse, FleetKillResumeHoldsExactlyTheColdRunsRecords) {
   // realizations, so the store count is even.
   EXPECT_EQ(cold_evals % 2, 0u);
 
-  campaign::RunConfig cfg;
-  cfg.shard_dir = dir;
-  cfg.workers = 2;
-  cfg.steal = false;
-  cfg.kill_slot = 0;
-  cfg.kill_after_cells = 1;
-  cfg.cell_delay_ms = 50;
-  const campaign::FleetReport first = campaign::run_fleet(*plan, cfg, nullptr);
-  ASSERT_FALSE(first.complete);
-  EXPECT_EQ(first.worker_reports[0].term_signal, SIGKILL);
+  // A forked worker runs the campaign serially; the inter-cell delay
+  // holds it after its first checkpoint so the SIGKILL lands mid-grid.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    campaign::RunConfig cfg;
+    cfg.store_path = store_path;
+    cfg.cell_delay_ms = 10000;
+    (void)campaign::run_single(*plan, cfg, nullptr);
+    _exit(0);
+  }
+  const auto cells_now = [&]() -> std::uint64_t {
+    try {
+      store::StoreOptions ro;
+      ro.read_only = true;
+      return store::EvalStore(store_path, ro).cell_count();
+    } catch (const Error&) {
+      return 0;  // the worker has not created the store yet
+    }
+  };
+  std::uint64_t checkpointed = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (std::chrono::steady_clock::now() < deadline) {
+    checkpointed = cells_now();
+    if (checkpointed >= 1) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  ASSERT_GE(checkpointed, 1u) << "worker never checkpointed a cell";
+  ASSERT_LT(checkpointed, n_cells) << "worker finished before the kill";
 
-  cfg.steal = true;
-  cfg.kill_slot = -1;
-  cfg.cell_delay_ms = 0;
-  const campaign::FleetReport second = campaign::run_fleet(*plan, cfg, nullptr);
-  ASSERT_TRUE(second.complete) << second.to_json();
-  EXPECT_EQ(second.merge.duplicate_evals, 0u);
+  campaign::RunConfig cfg;
+  cfg.store_path = store_path;
+  cfg.resume = true;
+  const campaign::CampaignReport resumed =
+      campaign::run_single(*plan, cfg, nullptr);
+  EXPECT_EQ(resumed.stored_cells, n_cells);
   store::StoreOptions ro;
   ro.read_only = true;
-  const store::EvalStore merged(campaign::merged_path(dir), ro);
-  EXPECT_EQ(merged.eval_count(), cold_evals)
+  const store::EvalStore st(store_path, ro);
+  EXPECT_EQ(st.eval_count(), cold_evals)
       << "kill/resume lost or duplicated per-realization records";
-  EXPECT_TRUE(store::EvalStore::audit(campaign::merged_path(dir)).clean());
+  EXPECT_TRUE(store::EvalStore::audit(store_path).clean());
 
-  remove_tree(dir);
+  std::remove(store_path.c_str());
   std::remove(cold_store.c_str());
 }
 

@@ -1,6 +1,9 @@
 // End-to-end crash-safety of the hi_campaign CLI: SIGKILL mid-grid,
 // then --resume must skip every checkpointed cell (zero re-simulation)
-// and leave a store the corruption auditor calls byte-valid.
+// and leave a store the corruption auditor calls byte-valid, holding
+// exactly the evaluations a cold uninterrupted run pays for — on a
+// nominal grid and on a robust one (one record per design and
+// realization).
 //
 // The campaign binary's path arrives via the HI_CAMPAIGN_BIN compile
 // definition (tests/CMakeLists.txt); the child's stdout is captured to a
@@ -89,6 +92,18 @@ std::size_t cells_now(const std::string& store_path) {
   }
 }
 
+std::size_t evals_in(const std::string& store_path) {
+  store::StoreOptions opt;
+  opt.read_only = true;
+  return store::EvalStore(store_path, opt).eval_count();
+}
+
+std::vector<std::string> concat(std::vector<std::string> a,
+                                const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
 const std::vector<std::string> kGrid = {"--gen-seed", "5", "--pdr-min",
                                         "0.5,0.7,0.9", "--json"};
 
@@ -115,57 +130,85 @@ TEST(CampaignResume, FullRunThenResumeSkipsEverythingWithZeroSims) {
 }
 
 TEST(CampaignResume, SigkillMidGridThenResumeFinishesCleanly) {
-  const std::string store_path = "campaign_kill.store";
-  const std::string out = "campaign_kill.json";
-  std::remove(store_path.c_str());
+  struct Case {
+    std::string tag;
+    std::vector<std::string> extra;  ///< appended to kGrid
+    int realizations;
+  };
+  const std::vector<Case> cases = {
+      {"nominal", {}, 1},
+      {"robust", {"--gamma", "1", "--realizations", "2"}, 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.tag);
+    const std::string store_path = "campaign_kill_" + c.tag + ".store";
+    const std::string cold_path = "campaign_kill_" + c.tag + "_cold.store";
+    const std::string out = "campaign_kill_" + c.tag + ".json";
+    const std::vector<std::string> grid = concat(kGrid, c.extra);
+    std::remove(store_path.c_str());
+    std::remove(cold_path.c_str());
 
-  // The delay widens the window between cells so the kill reliably
-  // lands mid-grid (after >= 1 checkpoint, before the last).
-  std::vector<std::string> args = {"--store", store_path, "--cell-delay-ms",
-                                   "10000"};
-  args.insert(args.end(), kGrid.begin(), kGrid.end());
-  const pid_t pid = spawn_campaign(args, out);
-  ASSERT_GT(pid, 0);
+    // The uninterrupted reference run on the same grid.
+    ASSERT_EQ(wait_exit(spawn_campaign(
+                  concat({"--store", cold_path}, grid), out)),
+              0);
+    const std::size_t cold_evals = evals_in(cold_path);
+    ASSERT_GT(cold_evals, 0u);
 
-  std::size_t checkpointed = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (std::chrono::steady_clock::now() < deadline) {
-    checkpointed = cells_now(store_path);
-    if (checkpointed >= 1) {
-      break;
+    // The delay widens the window between cells so the kill reliably
+    // lands mid-grid (after >= 1 checkpoint, before the last).
+    const pid_t pid = spawn_campaign(
+        concat({"--store", store_path, "--cell-delay-ms", "10000"}, grid),
+        out);
+    ASSERT_GT(pid, 0);
+
+    std::size_t checkpointed = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+      checkpointed = cells_now(store_path);
+      if (checkpointed >= 1) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ::kill(pid, SIGKILL);
+    EXPECT_EQ(wait_exit(pid), -SIGKILL);
+    ASSERT_GE(checkpointed, 1u) << "child never checkpointed a cell";
+    ASSERT_LT(checkpointed, 3u) << "child finished before the kill";
+
+    // The checkpoint fsync ordering guarantees the completed cells — and
+    // every evaluation they depend on — survived the SIGKILL.
+    EXPECT_GE(cells_now(store_path), checkpointed);
+
+    // Resume: checkpointed cells are skipped outright (zero
+    // re-simulation), the interrupted cell replays from the store, and
+    // the repaired log audits byte-valid and holds exactly the cold
+    // run's evaluations — none lost, none duplicated.
+    const std::vector<std::string> resume_args =
+        concat({"--store", store_path, "--resume"}, grid);
+    ASSERT_EQ(wait_exit(spawn_campaign(resume_args, out)), 0);
+    const std::string resumed = read_file(out);
+    EXPECT_GE(count_occurrences(resumed, "\"skipped\": true"), checkpointed)
+        << resumed;
+    EXPECT_EQ(count_occurrences(resumed, "\"scenario\""), 3u) << resumed;
+    EXPECT_TRUE(store::EvalStore::audit(store_path).clean());
+    const std::size_t evals = evals_in(store_path);
+    EXPECT_EQ(evals, cold_evals)
+        << "kill/resume lost or duplicated evaluation records";
+    // One record per design and realization.
+    EXPECT_EQ(evals % static_cast<std::size_t>(c.realizations), 0u);
+
+    // A second resume is a pure no-op: everything checkpointed, nothing
+    // simulated, nothing appended.
+    ASSERT_EQ(wait_exit(spawn_campaign(resume_args, out)), 0);
+    const std::string again = read_file(out);
+    EXPECT_EQ(count_occurrences(again, "\"skipped\": true"), 3u);
+    EXPECT_NE(again.find("\"fresh_simulations\": 0"), std::string::npos);
+    std::remove(store_path.c_str());
+    std::remove(cold_path.c_str());
+    std::remove(out.c_str());
   }
-  ::kill(pid, SIGKILL);
-  EXPECT_EQ(wait_exit(pid), -SIGKILL);
-  ASSERT_GE(checkpointed, 1u) << "child never checkpointed a cell";
-  ASSERT_LT(checkpointed, 3u) << "child finished before the kill";
-
-  // The checkpoint fsync ordering guarantees the completed cells — and
-  // every evaluation they depend on — survived the SIGKILL.
-  EXPECT_GE(cells_now(store_path), checkpointed);
-
-  // Resume: checkpointed cells are skipped outright (zero
-  // re-simulation), the interrupted cell replays from the store, and
-  // the repaired log audits byte-valid.
-  std::vector<std::string> resume_args = {"--store", store_path, "--resume"};
-  resume_args.insert(resume_args.end(), kGrid.begin(), kGrid.end());
-  ASSERT_EQ(wait_exit(spawn_campaign(resume_args, out)), 0);
-  const std::string resumed = read_file(out);
-  EXPECT_GE(count_occurrences(resumed, "\"skipped\": true"), checkpointed)
-      << resumed;
-  EXPECT_EQ(count_occurrences(resumed, "\"scenario\""), 3u) << resumed;
-  EXPECT_TRUE(store::EvalStore::audit(store_path).clean());
-
-  // A second resume is a pure no-op: everything checkpointed, nothing
-  // simulated, nothing appended.
-  ASSERT_EQ(wait_exit(spawn_campaign(resume_args, out)), 0);
-  const std::string again = read_file(out);
-  EXPECT_EQ(count_occurrences(again, "\"skipped\": true"), 3u);
-  EXPECT_NE(again.find("\"fresh_simulations\": 0"), std::string::npos);
-  std::remove(store_path.c_str());
-  std::remove(out.c_str());
 }
 
 }  // namespace

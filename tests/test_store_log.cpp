@@ -39,7 +39,7 @@ void write_file(const std::string& path, std::string_view data) {
 }
 
 std::string temp_path(const char* tag) {
-  return std::string("store_log_test_") + tag + ".log";
+  return testing::TempDir() + "/store_log_test_" + tag + ".log";
 }
 
 /// Opens `path` in write mode collecting payloads; returns (payloads,
@@ -95,6 +95,7 @@ TEST(RecordLog, AppendAndReopenRoundTrip) {
   EXPECT_EQ(r.payloads[2], "");
   EXPECT_TRUE(r.stats.clean());
   EXPECT_EQ(r.recovered_counter, 0u);
+  std::remove(path.c_str());
 }
 
 TEST(RecordLog, RejectsOversizedAppendAndForeignFiles) {
@@ -112,8 +113,8 @@ TEST(RecordLog, RejectsOversizedAppendAndForeignFiles) {
 }
 
 // A read-only open can race a writer that has created its file but not
-// yet written the header (a campaign worker scanning a peer's new
-// shard): the empty file is an empty, clean log.
+// yet written the header (test_store_campaign polling the store a
+// campaign has just created): the empty file is an empty, clean log.
 TEST(RecordLog, ReadOnlyOpenOfAnEmptyFileIsAnEmptyLog) {
   const std::string path = temp_path("empty");
   write_file(path, "");

@@ -1,17 +1,18 @@
-// hi_campaign — the resumable, optionally sharded multi-process
-// campaign runner.  A thin argv shim: all campaign logic lives in
-// hi::campaign (src/campaign/) — CampaignPlan resolves the grid,
-// run_single()/run_fleet() execute it, and the report types own the
-// output formats.  `hi_campaign --bogus` prints the flags.
+// hi_campaign — the resumable campaign runner.  A thin argv shim: all
+// campaign logic lives in hi::campaign (src/campaign/) — CampaignPlan
+// resolves the grid, run_single() executes it against one store, and
+// CampaignReport owns the output formats.  `hi_campaign --bogus` prints
+// the flags.
 //
-// Exit codes: 0 success (fleet: campaign complete), 2 usage error (bad
-// flag or rejected input), 3 fleet ran but the grid is incomplete
-// (re-run with --resume).
-#include <cstdint>
+// Modes: --store runs (or with --resume, finishes) a campaign; --audit
+// integrity-scans a store; --compact rewrites one without superseded
+// records; --dump-scenario prints the paper scenario as JSON.
+// --threads parallelises each cell in-process, bit-identically.
+//
+// Exit codes: 0 success, 1 --audit found damage, 2 usage error (bad
+// flag or rejected input).
 #include <iostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
@@ -30,24 +31,18 @@ int run(int argc, char** argv) {
   hi::campaign::RunConfig cfg;
   std::string audit_path;
   std::string compact_path;
-  std::string merge_dir;
   bool dump_scenario = false;
   bool json = false;
 
   cli::FlagTable table({"--store FILE [options]",
-                        "--shard-dir DIR --workers N [options]",
-                        "--audit FILE | --compact FILE | --merge DIR",
+                        "--audit FILE | --compact FILE",
                         "--dump-scenario"});
   table.section("modes")
       .add({"--store", "FILE", "single-process campaign store",
             cli::text(cfg.store_path)})
-      .add({"--shard-dir", "DIR", "sharded worker fleet, one store per worker",
-            cli::text(cfg.shard_dir)})
       .add({"--audit", "FILE", "integrity-scan a store", cli::text(audit_path)})
       .add({"--compact", "FILE", "rewrite a store without superseded records",
             cli::text(compact_path)})
-      .add({"--merge", "DIR", "fold DIR's shards into DIR/merged.store",
-            cli::text(merge_dir)})
       .add(flags::dump_scenario(dump_scenario));
   table.section("campaign options")
       .add(flags::scenario(cli::append(spec.scenario_files)))
@@ -76,20 +71,6 @@ int run(int argc, char** argv) {
       .add({"--json", "", "machine-readable report on stdout", cli::on(json)})
       .add({"--cell-delay-ms", "N", "sleep after each cell (test hook)",
             cli::number(cfg.cell_delay_ms, cli::at_least(0))});
-  table.section("fleet options (with --shard-dir)")
-      .add({"--workers", "N", "worker processes, one shard store each",
-            cli::number(cfg.workers, cli::at_least(0))})
-      .add({"--lease-ms", "N", "claim lease before a silent worker's row\n"
-                               "is stolen",
-            cli::number(cfg.lease_ms, cli::at_least(1))})
-      .add({"--no-steal", "", "never take over stale claims (crash -> exit 3;\n"
-                              "finish with --resume)",
-            cli::on(cfg.steal, false)})
-      .add({"--kill-slot", "N", "fault injection: worker N SIGKILLs itself...",
-            cli::number(cfg.kill_slot, cli::at_least(0))})
-      .add({"--kill-after-cells", "N", "...after N completed cells (test hook)",
-            cli::number(cfg.kill_after_cells,
-                        cli::at_least<std::uint64_t>(1))});
   if (!table.parse(argc, argv)) {
     return table.usage();
   }
@@ -116,24 +97,7 @@ int run(int argc, char** argv) {
               << st.bytes_after << " bytes\n";
     return 0;
   }
-  if (!merge_dir.empty()) {
-    const auto st = hi::store::EvalStore::merge(
-        hi::campaign::list_shards(merge_dir),
-        hi::campaign::merged_path(merge_dir));
-    std::cout << "merged " << st.shards.size() << " shard(s): " << st.evals
-              << " evaluations / " << st.cells << " checkpoints ("
-              << st.duplicate_evals << " duplicate evals, "
-              << st.superseded_cells << " duplicate checkpoints folded)"
-              << (st.clean() ? "" : "  [shard damage dropped]") << " -> "
-              << hi::campaign::merged_path(merge_dir) << "\n";
-    return st.clean() ? 0 : 1;
-  }
-
-  const bool fleet_mode = !cfg.shard_dir.empty() || cfg.workers > 0;
-  if (fleet_mode && (cfg.shard_dir.empty() || cfg.workers < 1)) {
-    return table.usage();
-  }
-  if (!fleet_mode && cfg.store_path.empty()) {
+  if (cfg.store_path.empty()) {
     return table.usage();
   }
 
@@ -145,12 +109,6 @@ int run(int argc, char** argv) {
   }
 
   hi::obs::MetricsRegistry metrics;
-  if (fleet_mode) {
-    const hi::campaign::FleetReport fleet =
-        hi::campaign::run_fleet(*plan, cfg, &metrics);
-    fleet.print(std::cout, json);
-    return fleet.complete ? 0 : 3;
-  }
   if (!json) {
     cfg.recovery_warnings = &std::cout;
   }

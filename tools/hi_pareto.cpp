@@ -4,9 +4,10 @@
 // points), and emits the front as versioned `hi-pareto/v1` JSON.
 // `hi_pareto --bogus` prints the flags.
 //
-// Sharding across the campaign fabric: run disjoint --pdr-min slices
-// into per-shard stores, `hi_campaign --merge DIR`, then rerun the full
-// ladder against the merged store — every point is already paid for.
+// Parallelism is in-process: --threads runs each batch on hi::exec,
+// bit-identically at any thread count.  Rerunning a wider --pdr-min
+// ladder against the same --store re-simulates no point already paid
+// for.
 //
 // Exit codes: 0 success, 2 usage error (bad flag or rejected input).
 #include <csignal>
