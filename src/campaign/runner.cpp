@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "dse/robustness.hpp"
+#include "net/network.hpp"
 
 namespace hi::campaign {
 
@@ -38,6 +40,9 @@ store::CellResult to_cell_result(const dse::ExplorationResult& res) {
 CampaignReport run_single(const CampaignPlan& plan, const RunConfig& cfg,
                           obs::MetricsRegistry* metrics) {
   HI_REQUIRE(!cfg.store_path.empty(), "run_single needs a store path");
+  // Reject what every cell would reject before the store file exists.
+  dse::require_valid(plan.spec().robust);
+  for (const PlanRow& row : plan.rows()) net::require_valid(row.settings.sim);
   store::StoreOptions sopt;
   sopt.fsync = cfg.fsync;
   sopt.metrics = metrics;

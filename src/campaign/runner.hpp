@@ -35,8 +35,10 @@ struct RunConfig {
   std::ostream* recovery_warnings = nullptr;
 };
 
-/// Runs the whole grid in-process against one store.  `metrics` is
-/// nullable and receives dse.* / store.* counters from every cell.
+/// Runs the whole grid in-process against one store.  Robust options and
+/// Tsim are validated (HI_REQUIRE) before the store is opened, so a
+/// rejected plan creates no file.  `metrics` is nullable and receives
+/// dse.* / store.* counters from every cell.
 [[nodiscard]] CampaignReport run_single(const CampaignPlan& plan,
                                         const RunConfig& cfg,
                                         obs::MetricsRegistry* metrics);

@@ -144,6 +144,17 @@ class Audit {
     counter_is("net.medium.transmissions", med.transmissions);
     counter_is("net.medium.deliveries_offered", med.deliveries_offered);
     counter_is("net.medium.below_sensitivity", med.below_sensitivity);
+    // The kernel runs at most one handler per event, and only a
+    // transmission end folds events into one handler: one per signal end,
+    // so the folded events never exceed the deliveries offered.
+    const std::uint64_t events = m_.counter("des.events"),
+                        dispatches = m_.counter("des.dispatches");
+    if (dispatches > events) {
+      fail("des.dispatches ", dispatches, " exceed des.events ", events);
+    } else if (events - dispatches > med.deliveries_offered) {
+      fail("des.events ", events, " - des.dispatches ", dispatches,
+           " exceed deliveries offered ", med.deliveries_offered);
+    }
     counter_is("net.radio.tx_packets", radio_tx);
     counter_is("net.mac.sent", mac_sent);
     counter_is("net.mac.enqueued", mac_enq);

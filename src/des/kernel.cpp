@@ -10,16 +10,10 @@ constexpr std::size_t kArity = 4;
 
 Kernel::~Kernel() {
   // Destroy handlers of events still pending at teardown (run_until
-  // leaves future events queued by design), including chained members
-  // that never occupy a heap entry themselves.
-  for (const std::uint32_t head : heap_) {
-    std::uint32_t s = head;
-    while (s != kNoSlot) {
-      Event& e = event(s);
-      const std::uint32_t next = e.next_same;
-      e.destroy(e.storage);
-      s = next;
-    }
+  // leaves future events queued by design).
+  for (const std::uint32_t slot : heap_) {
+    Event& e = event(slot);
+    e.destroy(e.storage);
   }
 }
 
@@ -66,33 +60,9 @@ void Kernel::release_slot(Event& e) {
   free_.push_back(e.self);
 }
 
-void Kernel::enqueue(Event& e) {
+void Kernel::heap_push(std::uint32_t slot) {
   ++pending_;
   if (pending_ > heap_hwm_) heap_hwm_ = pending_;
-  e.next_same = kNoSlot;
-  e.prev_same = kNoSlot;
-  if (last_slot_ != kNoSlot) {
-    Event& prev = event(last_slot_);
-    // `prev` is a chain tail by construction: appends only ever target
-    // the most recently scheduled event, so nothing follows it.  The
-    // epoch / kRunning checks reject a slot that was dispatched,
-    // cancelled, or recycled since it was scheduled.
-    if (prev.epoch == last_epoch_ && prev.heap_pos != kRunning &&
-        prev.t == e.t) {
-      prev.next_same = e.self;
-      e.prev_same = prev.self;
-      e.heap_pos = kChained;
-      last_slot_ = e.self;
-      last_epoch_ = e.epoch;
-      return;
-    }
-  }
-  heap_push(e.self);
-  last_slot_ = e.self;
-  last_epoch_ = e.epoch;
-}
-
-void Kernel::heap_push(std::uint32_t slot) {
   event(slot).heap_pos = static_cast<std::int32_t>(heap_.size());
   heap_.push_back(slot);
   sift_up(heap_.size() - 1);
@@ -156,53 +126,28 @@ void Kernel::cancel(EventId id) {
   if (e.heap_pos == kRunning || e.heap_pos == kFree) {
     return;  // an event may not cancel itself
   }
-  if (e.heap_pos == kChained) {
-    // Unlink from the middle/tail of a chain; the head keeps its heap
-    // entry and the (time, seq) order of the survivors is unchanged.
-    Event& prev = event(e.prev_same);
-    prev.next_same = e.next_same;
-    if (e.next_same != kNoSlot) {
-      event(e.next_same).prev_same = e.prev_same;
-    }
-  } else if (e.next_same != kNoSlot) {
-    // Chain head: its successor inherits the heap entry.  The key grows
-    // (same time, larger seq), so it can only need to move down.
-    Event& n = event(e.next_same);
-    n.prev_same = kNoSlot;
-    const std::int32_t pos = e.heap_pos;
-    heap_[static_cast<std::size_t>(pos)] = n.self;
-    n.heap_pos = pos;
-    sift_down(static_cast<std::size_t>(pos));
-  } else {
-    heap_remove(e.heap_pos);
-  }
+  heap_remove(e.heap_pos);
   --pending_;
   release_slot(e);
   ++cancelled_;
 }
 
 void Kernel::dispatch(Event& e) {
-  // Detach before invoking so the handler sees its own id as
-  // no-longer-pending (self-cancel is a no-op), exactly like the
-  // historical erase-before-invoke semantics.
-  if (e.next_same != kNoSlot) {
-    // Promote the chain successor into the head's heap entry with no
-    // sifting: chain members were scheduled back-to-back at one time,
-    // so their seq range is contiguous in schedule order and no other
-    // pending event orders between the head and its successor — the
-    // successor is the new global minimum.
-    Event& n = event(e.next_same);
-    n.prev_same = kNoSlot;
-    const std::int32_t pos = e.heap_pos;
-    heap_[static_cast<std::size_t>(pos)] = n.self;
-    n.heap_pos = pos;
-  } else {
-    heap_remove(e.heap_pos);
+  // `e` is the heap root.  Detach before invoking so the handler sees
+  // its own id as no-longer-pending (self-cancel is a no-op), exactly
+  // like the historical erase-before-invoke semantics.  Popping the root
+  // needs only the sift-down half of heap_remove.
+  const std::uint32_t last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_.front() = last;
+    sift_down(0);
   }
   e.heap_pos = kRunning;
   --pending_;
   now_ = e.t;
   ++processed_;
+  ++dispatches_;
   struct Release {  // release even if the handler throws
     Kernel* k;
     Event* e;

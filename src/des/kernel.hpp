@@ -23,30 +23,20 @@
 //     position, so cancel() removes the event in place in O(log n).
 //     There is no tombstone side-table and no lazy-cancellation
 //     residue: every entry in the heap is live.
-//   * Same-time chains — a radio transmission fans out to every other
-//     radio with one signal-end per receiver, all at the identical
-//     timestamp, so at crowd fan-outs (DESIGN.md §15) the heap would
-//     spend most of the run sifting entries that are mutually tied.
-//     Instead, consecutively scheduled events with equal times are
-//     chained FIFO onto the first one: only the chain head occupies a
-//     heap entry, appends are O(1), and when the head is dispatched its
-//     successor takes the head's heap position without any sifting —
-//     chain members were scheduled back-to-back, so their seq range is
-//     contiguous-in-schedule-order and no other pending event can order
-//     between two of them.
+//   * One event per transmission end — a transmission's signal ends at
+//     every receiver plus the sender's tx-done run in one handler
+//     (net::Medium), which credits the folded signal ends through
+//     credit_events(): events_processed() counts logical events,
+//     dispatches() handlers run.  The heap has no same-time special case.
 //   * Epoch-tagged EventIds — a slot's epoch is bumped every time the
 //     slot is released, and an EventId carries the epoch it was issued
 //     under, so a stale id (event already ran, already cancelled, or
 //     slot since recycled) can never cancel an unrelated event.
 //
 // Determinism contract: execution order is the total order (time, seq)
-// over live events — identical to the historical priority-queue +
-// lazy-cancellation kernel for any schedule/cancel sequence — so
-// simulation results are bit-identical to that design
-// (tests/test_sim_golden.cpp pins recorded pre-overhaul fingerprints).
-// The one observable change: heap_highwater() now reports the live
-// pending high water; the old kernel's figure included
-// cancelled-but-unpopped residue, which no longer exists.
+// over live events for any schedule/cancel sequence, so simulation
+// results are reproducible bit for bit (tests/test_sim_golden.cpp pins
+// recorded fingerprints).
 #pragma once
 
 #include <cstddef>
@@ -115,7 +105,7 @@ class Kernel {
         delete *std::launder(reinterpret_cast<Fn**>(s));
       };
     }
-    enqueue(e);
+    heap_push(e.self);
     return EventId{e.self, e.epoch};
   }
 
@@ -147,8 +137,18 @@ class Kernel {
   /// Runs until the event queue is empty.
   void run_to_completion();
 
-  /// Number of events executed so far (cancelled events excluded).
+  /// Credits `n` events that the running handler executes itself: one
+  /// handler doing the work of n + 1 back-to-back same-time events (a
+  /// transmission end, see net::Medium) counts as n + 1 events.
+  void credit_events(std::uint64_t n) { processed_ += n; }
+
+  /// Number of events executed so far (cancelled events excluded),
+  /// including those credited by credit_events().
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
+
+  /// Number of handlers actually dispatched (obs: des.dispatches); at
+  /// most events_processed().
+  [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
 
   /// Number of events currently pending (cancelled ones are removed
   /// immediately and never counted).
@@ -157,10 +157,7 @@ class Kernel {
   /// Number of events cancelled before they ran.
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
-  /// Largest number of simultaneously pending events ever reached.
-  /// (Live events only — the in-place-cancelling heap keeps no
-  /// tombstones, unlike the pre-overhaul kernel whose high water
-  /// included cancelled residue.)
+  /// Largest number of simultaneously pending (live) events ever reached.
   [[nodiscard]] std::size_t heap_highwater() const { return heap_hwm_; }
 
   // --- Allocation / heap-work introspection (obs: des.alloc_*,
@@ -173,17 +170,13 @@ class Kernel {
     return handler_heap_allocs_;
   }
   /// Total sift-up + sift-down steps performed by the indexed heap —
-  /// the comparison work a run's schedule pattern induces.  Same-time
-  /// chain appends and promotions cost no sift steps, so this counts
-  /// only genuine reordering work.
+  /// the comparison work a run's schedule pattern induces.
   [[nodiscard]] std::uint64_t heap_sift_steps() const { return sift_steps_; }
 
  private:
   static constexpr std::size_t kChunkEvents = 256;
   static constexpr std::int32_t kFree = -1;     ///< slot on the free list
   static constexpr std::int32_t kRunning = -2;  ///< popped, handler active
-  static constexpr std::int32_t kChained = -3;  ///< pending inside a chain
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;  ///< null chain link
 
   struct Event {
     Time t = 0.0;
@@ -191,10 +184,6 @@ class Kernel {
     std::uint32_t self = 0;   ///< arena index of this slot
     std::uint32_t epoch = 1;  ///< bumped on every release
     std::int32_t heap_pos = kFree;
-    /// Same-time chain links (kNoSlot = none).  The chain head carries
-    /// heap_pos >= 0 and prev_same == kNoSlot; members carry kChained.
-    std::uint32_t next_same = kNoSlot;
-    std::uint32_t prev_same = kNoSlot;
     void (*invoke)(void*) = nullptr;
     void (*destroy)(void*) = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineHandlerBytes];
@@ -214,28 +203,23 @@ class Kernel {
   Event& acquire_slot();
   void grow_arena();  ///< adds one slab and puts its slots on the free list
   void release_slot(Event& e);  ///< destroy handler, bump epoch, recycle
-  void enqueue(Event& e);       ///< chain onto the previous event or heap_push
-  void heap_push(std::uint32_t slot);
+  void heap_push(std::uint32_t slot);  ///< enqueue a newly scheduled slot
   void heap_remove(std::int32_t pos);  ///< detach heap_[pos] from the heap
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  void dispatch(Event& e);  ///< run + release one popped event
+  void dispatch(Event& e);  ///< pop, run and release the heap root
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
+  std::uint64_t dispatches_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t pending_ = 0;
   std::size_t heap_hwm_ = 0;
   std::uint64_t arena_chunks_ = 0;
   std::uint64_t handler_heap_allocs_ = 0;
   std::uint64_t sift_steps_ = 0;
-  /// Most recently scheduled event, the only legal chain-append point
-  /// (epoch-checked, so a dispatched/cancelled/recycled slot never
-  /// accretes a chain).
-  std::uint32_t last_slot_ = kNoSlot;
-  std::uint32_t last_epoch_ = 0;
-  std::vector<std::uint32_t> heap_;  ///< 4-ary min-heap of chain heads
+  std::vector<std::uint32_t> heap_;  ///< 4-ary min-heap of pending slots
   std::vector<std::unique_ptr<Event[]>> chunks_;
   std::vector<std::uint32_t> free_;
 };

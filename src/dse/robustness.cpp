@@ -8,8 +8,6 @@
 
 namespace hi::dse {
 
-namespace {
-
 void require_valid(const RobustnessOptions& robust) {
   HI_REQUIRE(robust.gamma >= 0,
              "gamma must be >= 0, got " << robust.gamma);
@@ -18,8 +16,6 @@ void require_valid(const RobustnessOptions& robust) {
   HI_REQUIRE(robust.confidence > 0.0 && robust.confidence < 1.0,
              "confidence must lie in (0, 1), got " << robust.confidence);
 }
-
-}  // namespace
 
 double robust_z_value(double confidence) {
   HI_REQUIRE(confidence > 0.0 && confidence < 1.0,

@@ -74,6 +74,11 @@ struct RobustEvaluation {
   double robust_power_mw = 0.0;
 };
 
+/// Rejects (HI_REQUIRE) options no robust run can use: Γ < 0, K < 1 or
+/// a confidence outside (0, 1).  Every RobustBatch checks this itself; a
+/// caller that creates files before its first run checks it up front.
+void require_valid(const RobustnessOptions& robust);
+
 /// Two-sided standard-normal quantile z with P(|Z| <= z) = confidence
 /// (Acklam's rational approximation; |error| < 1.15e-9 — deterministic,
 /// no tables).  confidence must lie in (0, 1).

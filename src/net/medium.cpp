@@ -21,7 +21,7 @@ void Medium::attach(Radio* radio) {
   radios_.push_back(radio);
 }
 
-void Medium::begin_transmission(const Radio& tx, const Packet& p,
+void Medium::begin_transmission(Radio& tx, const Packet& p,
                                 double duration_s) {
   const std::uint64_t tx_id = next_tx_id_++;
   ++stats_.transmissions;
@@ -49,6 +49,14 @@ void Medium::begin_transmission(const Radio& tx, const Packet& p,
   batch_pl_.resize(batch_ids_.size());
   channel_.path_loss_batch_db(tx.channel_id(), batch_ids_.data(),
                               batch_ids_.size(), now, batch_pl_.data());
+  if (free_lists_.empty()) {
+    free_lists_.push_back(static_cast<std::uint32_t>(receivers_.size()));
+    receivers_.emplace_back().reserve(fanout);
+  }
+  const std::uint32_t list = free_lists_.back();
+  free_lists_.pop_back();
+  std::vector<Radio*>& heard = receivers_[list];
+  heard.clear();
   std::size_t k = 0;
   for (Radio* rx : radios_) {
     if (rx->channel_id() == tx.channel_id()) {
@@ -68,8 +76,25 @@ void Medium::begin_transmission(const Radio& tx, const Packet& p,
       ++stats_.cross_offered;
     }
     rx->signal_start(tx_id, rx_dbm, p, foreign);
-    kernel_.schedule_in(duration_s, [rx, tx_id] { rx->signal_end(tx_id); });
+    heard.push_back(rx);
   }
+  kernel_.schedule_in(duration_s, [this, &tx, tx_id, list] {
+    end_transmission(tx, tx_id, list);
+  });
+}
+
+void Medium::end_transmission(Radio& tx, std::uint64_t tx_id,
+                              std::uint32_t list) {
+  // Indexed, not iterated: a signal_end may start a transmission that
+  // grows receivers_, which moves this list's vector (its buffer, and
+  // so the entries, stay put; this list is not free until below).
+  const std::size_t n = receivers_[list].size();
+  for (std::size_t i = 0; i < n; ++i) {
+    receivers_[list][i]->signal_end(tx_id);
+  }
+  kernel_.credit_events(n);
+  free_lists_.push_back(list);
+  tx.finish_transmit();
 }
 
 }  // namespace hi::net

@@ -51,12 +51,18 @@ class Medium {
   void attach(Radio* radio);
 
   /// Starts a transmission from `tx`: distributes signal_start to every
-  /// audible receiver and schedules the matching signal_end calls.
-  void begin_transmission(const Radio& tx, const Packet& p, double duration_s);
+  /// audible receiver, in attach order, and schedules exactly one event
+  /// at now + `duration_s` that calls signal_end on those receivers, in
+  /// the same order, then the sender's finish_transmit(), crediting the
+  /// kernel one event per signal end (DESIGN.md §11.1).
+  void begin_transmission(Radio& tx, const Packet& p, double duration_s);
 
   [[nodiscard]] const MediumStats& stats() const { return stats_; }
 
  private:
+  /// The transmission-end event of begin_transmission.
+  void end_transmission(Radio& tx, std::uint64_t tx_id, std::uint32_t list);
+
   des::Kernel& kernel_;
   channel::ChannelModel& channel_;
   const obs::RunTrace* trace_;
@@ -68,6 +74,11 @@ class Medium {
   /// every transmission — no allocation on the hot path after warmup.
   std::vector<int> batch_ids_;
   std::vector<double> batch_pl_;
+  /// Pooled receiver lists, one per transmission on the air, recycled
+  /// through free_lists_ when it ends: no allocation per transmission
+  /// after warm-up.
+  std::vector<std::vector<Radio*>> receivers_;
+  std::vector<std::uint32_t> free_lists_;
 };
 
 }  // namespace hi::net

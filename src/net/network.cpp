@@ -5,9 +5,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "net/node_stack.hpp"
 
 namespace hi::net {
+
+void require_valid(const SimParams& params) {
+  HI_REQUIRE(params.duration_s > params.gen_guard_s,
+             "simulate: duration " << params.duration_s
+                                   << " s must exceed the generation guard "
+                                   << params.gen_guard_s << " s");
+}
 
 SimResult simulate(const model::NetworkConfig& cfg,
                    channel::ChannelModel& channel, const SimParams& params) {

@@ -108,6 +108,11 @@ struct SimResult {
   CrowdSummary crowd;
 };
 
+/// Rejects (HI_REQUIRE) parameters no run can use: Tsim must exceed the
+/// generation guard.  Every simulation checks this itself; a caller that
+/// creates files before its first simulation checks it up front.
+void require_valid(const SimParams& params);
+
 /// Runs one simulation of `cfg` over the given instantaneous channel.
 ///
 /// Concurrency contract (audited for hi::exec): `cfg` and `params` are

@@ -154,6 +154,7 @@ void flush_counters(obs::MetricsRegistry& m, const des::Kernel& kernel,
   const std::pair<const char*, std::uint64_t> counts[] = {
       {"net.runs", 1},
       {"des.events", kernel.events_processed()},
+      {"des.dispatches", kernel.dispatches()},
       {"des.cancelled", kernel.events_cancelled()},
       {"des.alloc_slabs", kernel.arena_chunks()},
       {"des.alloc_handler_heap", kernel.handler_heap_allocs()},
@@ -194,10 +195,7 @@ BodiesRun run_bodies(const model::NetworkConfig& cfg,
   const std::vector<int> locs = cfg.topology.locations();
   const int n = static_cast<int>(locs.size());
   HI_REQUIRE(n >= 2, "simulate: need at least 2 nodes, topology has " << n);
-  HI_REQUIRE(params.duration_s > params.gen_guard_s,
-             "simulate: duration " << params.duration_s
-                                   << " s must exceed the generation guard "
-                                   << params.gen_guard_s << " s");
+  require_valid(params);
   if (cfg.routing.protocol == model::RoutingProtocol::kStar) {
     HI_REQUIRE(cfg.topology.has(cfg.routing.coordinator),
                "star coordinator location " << cfg.routing.coordinator

@@ -40,7 +40,6 @@ void Radio::transmit(const Packet& p) {
   Packet out = p;
   out.sender = location_;
   medium_.begin_transmission(*this, out, duration);
-  kernel_.schedule_in(duration, [this] { finish_transmit(); });
 }
 
 void Radio::finish_transmit() {

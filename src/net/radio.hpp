@@ -113,6 +113,10 @@ class Radio {
   /// The signal `tx_id` ends; delivers the packet if decoding succeeded.
   void signal_end(std::uint64_t tx_id);
 
+  /// This radio's own transmission ends (called by the Medium after the
+  /// transmission's signal ends); fires on_tx_done.
+  void finish_transmit();
+
  private:
   struct Signal {
     std::uint64_t tx_id;
@@ -122,7 +126,6 @@ class Radio {
   };
 
   [[nodiscard]] Signal* find_signal(std::uint64_t tx_id);
-  void finish_transmit();
 
   des::Kernel& kernel_;
   Medium& medium_;

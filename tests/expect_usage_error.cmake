@@ -3,8 +3,16 @@
 # input (never a wrapped value, a silent fallback, or an abort).
 #
 #   cmake -DBIN=path/to/cli "-DARGS=--flag value" "-DEXPECT=regex" \
-#         -P expect_usage_error.cmake
+#         [-DNO_FILE=path] -P expect_usage_error.cmake
+#
+# NO_FILE names a file the rejected run must not leave behind (say, the
+# --store it was given): it is removed before the run and the test fails
+# if it exists afterwards.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
+if(NO_FILE)
+  get_filename_component(no_file "${NO_FILE}" ABSOLUTE)
+  file(REMOVE "${no_file}")
+endif()
 execute_process(COMMAND "${BIN}" ${args}
                 RESULT_VARIABLE rc
                 OUTPUT_QUIET
@@ -15,4 +23,7 @@ endif()
 if(NOT err MATCHES "${EXPECT}")
   message(FATAL_ERROR
           "${BIN} ${ARGS}: stderr does not match '${EXPECT}':\n${err}")
+endif()
+if(NO_FILE AND EXISTS "${no_file}")
+  message(FATAL_ERROR "${BIN} ${ARGS}: rejected, but left ${no_file} behind")
 endif()

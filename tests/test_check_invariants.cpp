@@ -115,6 +115,17 @@ TEST_F(TamperedAudit, CatchesCounterDrift) {
   EXPECT_TRUE(any_contains(reaudit(), "net.medium.transmissions"));
 }
 
+TEST_F(TamperedAudit, CatchesDispatchCountDrift) {
+  // Only a transmission end runs several events in one dispatch, one per
+  // signal end, so dispatches lie in [events - offered, events].
+  const std::uint64_t events = run_.metrics.counter("des.events");
+  ASSERT_LT(run_.metrics.counter("des.dispatches"), events);
+  run_.metrics.counters["des.dispatches"] = events + 1;
+  EXPECT_TRUE(any_contains(reaudit(), "exceed des.events"));
+  run_.metrics.counters["des.dispatches"] = 0;
+  EXPECT_TRUE(any_contains(reaudit(), "exceed deliveries offered"));
+}
+
 TEST_F(TamperedAudit, CatchesTimeTravelInTrace) {
   ASSERT_GE(run_.trace.size(), 2u);
   std::swap(run_.trace.front().t_s, run_.trace.back().t_s);

@@ -367,6 +367,14 @@ TEST(Kernel, IntrospectionCountersAdvance) {
   k.run_to_completion();
   // Draining a 300-deep heap exercises sift-down on every pop.
   EXPECT_GT(k.heap_sift_steps(), 0u);
+  EXPECT_EQ(k.dispatches(), 300u);
+  EXPECT_EQ(k.events_processed(), 300u);
+  // A handler that does the work of 4 more events credits them: they
+  // count as events, not as dispatches.
+  k.schedule_in(1.0, [&k] { k.credit_events(4); });
+  k.run_to_completion();
+  EXPECT_EQ(k.dispatches(), 301u);
+  EXPECT_EQ(k.events_processed(), 305u);
 }
 
 }  // namespace

@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "channel/channel.hpp"
 #include "common/assert.hpp"
+#include "des/kernel.hpp"
+#include "net/medium.hpp"
+#include "net/radio.hpp"
 #include "common/units.hpp"
 #include "model/design_space.hpp"
 #include "model/power.hpp"
@@ -222,6 +230,96 @@ TEST(Network, AveragedRunsReduceVariance) {
   // NLT consistent with the averaged power.
   EXPECT_NEAR(avg.nlt_s,
               star_config().battery_j / mw_to_w(avg.worst_power_mw), 1e-6);
+}
+
+/// Three radios on a static channel, attached in location order.
+struct ThreeRadios {
+  explicit ThreeRadios(const channel::PathLossMatrix& m)
+      : channel(m), medium(kernel, channel) {
+    for (int i = 0; i < 3; ++i) {
+      radios.push_back(std::make_unique<Radio>(kernel, medium, i,
+                                               RadioParams{}));
+      medium.attach(radios.back().get());
+    }
+  }
+  Radio& radio(int i) { return *radios[static_cast<std::size_t>(i)]; }
+
+  des::Kernel kernel;
+  channel::StaticChannel channel;
+  Medium medium;
+  std::vector<std::unique_ptr<Radio>> radios;
+};
+
+Packet packet_from(int origin) {
+  Packet p;
+  p.origin = origin;
+  p.sender = origin;
+  p.visited = static_cast<std::uint16_t>(1u << origin);
+  return p;
+}
+
+TEST(TransmissionEnd, SignalEndsRunInAttachOrderThenTxDoneThenNewEvents) {
+  channel::PathLossMatrix m;
+  m.set_db(0, 1, 60.0);
+  m.set_db(0, 2, 60.0);
+  // Radio 1's relay reaches radio 2 at -90 dBm: audible, but 30 dB under
+  // the packet radio 2 is decoding, so it does not corrupt it.
+  m.set_db(1, 2, 90.0);
+  ThreeRadios w(m);
+  std::vector<std::string> log;
+  w.radio(1).on_receive = [&](const Packet& p) {
+    log.push_back("rx1<" + std::to_string(p.sender));
+    if (p.sender == 0) {
+      // A same-time transmission from inside the transmission-end event:
+      // it takes a second receiver list while the first is being walked.
+      w.radio(1).transmit(packet_from(1));
+      w.kernel.schedule_in(0.0, [&] { log.push_back("after-rx1"); });
+    }
+  };
+  w.radio(2).on_receive = [&](const Packet& p) {
+    log.push_back("rx2<" + std::to_string(p.sender));
+  };
+  w.radio(0).on_tx_done = [&] {
+    log.push_back("tx0-done");
+    w.kernel.schedule_in(0.0, [&] { log.push_back("after-tx0"); });
+  };
+  w.radio(1).on_tx_done = [&] { log.push_back("tx1-done"); };
+
+  w.radio(0).transmit(packet_from(0));
+  w.kernel.run_to_completion();
+
+  // Signal ends in attach order, then the sender's tx-done, then what
+  // their handlers scheduled at that instant; radio 2 misses radio 1's
+  // relay (it is decoding) and radio 0 misses it (it is still sending).
+  const std::vector<std::string> want = {"rx1<0",    "rx2<0",     "tx0-done",
+                                         "after-rx1", "after-tx0", "tx1-done"};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(w.radio(2).stats().rx_missed, 1u);
+  EXPECT_EQ(w.radio(0).stats().rx_missed, 1u);
+  // One event per signal end (2 + 2) and per finish (2), plus the two
+  // scheduled ones; the kernel dispatched one handler per transmission
+  // end.
+  EXPECT_EQ(w.medium.stats().deliveries_offered, 4u);
+  EXPECT_EQ(w.kernel.events_processed(), 8u);
+  EXPECT_EQ(w.kernel.dispatches(), 4u);
+}
+
+TEST(TransmissionEnd, UnheardTransmissionStillFinishes) {
+  channel::PathLossMatrix m;
+  m.set_db(0, 1, 150.0);
+  m.set_db(0, 2, 150.0);
+  m.set_db(1, 2, 150.0);
+  ThreeRadios w(m);
+  int done = 0;
+  w.radio(0).on_tx_done = [&] { ++done; };
+  w.radio(0).transmit(packet_from(0));
+  EXPECT_TRUE(w.radio(0).transmitting());
+  w.kernel.run_to_completion();
+  EXPECT_EQ(done, 1);
+  EXPECT_FALSE(w.radio(0).transmitting());
+  EXPECT_EQ(w.medium.stats().below_sensitivity, 2u);
+  EXPECT_EQ(w.kernel.events_processed(), 1u);
+  EXPECT_EQ(w.kernel.dispatches(), 1u);
 }
 
 }  // namespace

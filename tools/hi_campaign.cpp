@@ -18,7 +18,6 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "cli_args.hpp"
-#include "obs/metrics.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
 
@@ -108,12 +107,11 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  hi::obs::MetricsRegistry metrics;
   if (!json) {
     cfg.recovery_warnings = &std::cout;
   }
   const hi::campaign::CampaignReport report =
-      hi::campaign::run_single(*plan, cfg, &metrics);
+      hi::campaign::run_single(*plan, cfg, nullptr);
   report.print(std::cout, json);
   return 0;
 }
