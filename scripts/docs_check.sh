@@ -3,7 +3,7 @@
 #
 #   scripts/docs_check.sh
 #
-# Verifies six invariants that otherwise rot silently:
+# Verifies seven invariants that otherwise rot silently:
 #   1. Every subsystem directory `src/<name>` has a DESIGN.md §2
 #      inventory row (a table row quoting `src/<name>`), not merely a
 #      passing mention.
@@ -22,6 +22,9 @@
 #   6. No file tracked by git is a run artifact: a store (`*.store`,
 #      `*.histore`), a log (`*.log`) or a `fleet.json` report — tests
 #      and tools write those under temp or build directories.
+#   7. Every MILP encoding shape README.md or DESIGN.md states
+#      ("N variables × M rows", or columns) equals the pins of
+#      MilpEncoding.ModelKeepsItsShapeAcrossTheWalk.
 # Paths under build*/ (generated trees) and placeholders containing
 # <...> or * are exempt.
 set -euo pipefail
@@ -131,8 +134,30 @@ for a in $(git ls-files -- '*.store' '*.histore' '*.log' fleet.json \
   status=1
 done
 
+# --- 7. encoding shapes in the docs match the shape test's pins ----------
+shape_test="$(awk '/^TEST\(MilpEncoding, ModelKeepsItsShapeAcrossTheWalk\)/ {on = 1}
+                   on {print}
+                   on && /^}/ {exit}' tests/test_milp_encoding.cpp)"
+pin_vars="$(grep -oE 'EXPECT_EQ\(vars, [0-9]+\)' <<< "${shape_test}" |
+            grep -oE '[0-9]+' || true)"
+pin_rows="$(grep -oE 'EXPECT_EQ\(rows, [0-9]+\)' <<< "${shape_test}" |
+            grep -oE '[0-9]+' || true)"
+if [[ -z "${pin_vars}" || -z "${pin_rows}" ]]; then
+  echo "docs_check: FAIL: cannot read the encoding shape pins in tests/test_milp_encoding.cpp" >&2
+  status=1
+fi
+while IFS= read -r shape; do
+  [[ -z "${shape}" ]] && continue
+  read -r vars _ _ rows _ <<< "${shape//,/}"
+  if [[ "${vars}" != "${pin_vars}" || "${rows}" != "${pin_rows}" ]]; then
+    echo "docs_check: FAIL: docs state an encoding of '${shape}'; the shape test pins ${pin_vars} variables × ${pin_rows} rows" >&2
+    status=1
+  fi
+done <<< "$(grep -ohE '[0-9][0-9,]* (variables|columns) (×|x) [0-9][0-9,]* rows' \
+              README.md DESIGN.md || true)"
+
 if [[ "${status}" != 0 ]]; then
   echo "docs_check: FAILED" >&2
   exit 1
 fi
-echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines, counter names, no tracked artifacts)"
+echo "docs_check: OK (inventory rows, doc paths, schemas, bench baselines, counter names, no tracked artifacts, encoding shape)"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
+#include <string>
 
 #include "common/assert.hpp"
 #include "model/power.hpp"
@@ -34,22 +34,21 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
 
   // --- Decision binaries ---------------------------------------------------
   for (int i = 0; i < channel::kNumLocations; ++i) {
-    std::ostringstream name;
-    name << "n" << i;
-    n_vars_.push_back(model_.add_binary(0.0, name.str()));
+    n_vars_.push_back(model_.add_binary(0.0, "n" + std::to_string(i)));
   }
   for (int k = 0; k < scenario_.chip.num_tx_levels(); ++k) {
-    std::ostringstream name;
-    name << "p" << k + 1;
-    p_vars_.push_back(model_.add_binary(0.0, name.str()));
+    p_vars_.push_back(model_.add_binary(0.0, "p" + std::to_string(k + 1)));
   }
   model_.add_binary(0.0, "mac_tdma");  // free: Eq. (9) ignores the MAC
   rt_star_var_ = model_.add_binary(0.0, "rt_star");
   rt_mesh_var_ = model_.add_binary(0.0, "rt_mesh");
   for (int n = scenario_.min_nodes; n <= scenario_.max_nodes; ++n) {
-    std::ostringstream name;
-    name << "zN" << n;
-    z_vars_.push_back(model_.add_binary(0.0, name.str()));
+    z_vars_.push_back(model_.add_binary(0.0, "zN" + std::to_string(n)));
+  }
+  topologies_by_count_.resize(z_vars_.size());
+  for (const model::Topology& t : scenario_.feasible_topologies()) {
+    const auto zi = static_cast<std::size_t>(t.count() - scenario_.min_nodes);
+    topologies_by_count_[zi].push_back(t);
   }
 
   // --- Selection constraints ----------------------------------------------
@@ -103,6 +102,10 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
       lp::Sense::kGreaterEqual, 0.0, "star_coordinator");
 
   // --- Cost linearization over the (level, routing, N) grid ----------------
+  // Each cell y is a plain [0, 1] column.  The convexity rows below give
+  // y <= p_k, y <= rt and y <= z_N, and when (p, rt, z) is integral they
+  // leave y mass only on the one selected cell, which one_cell sets to 1:
+  // the product rows y = p_k ∧ rt ∧ z_N would all be implied.
   std::vector<lp::Term> y_sum;
   std::vector<std::vector<lp::Term>> by_level(
       static_cast<std::size_t>(scenario_.chip.num_tx_levels()));
@@ -111,16 +114,12 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
   for (int k = 0; k < scenario_.chip.num_tx_levels(); ++k) {
     for (const model::RoutingProtocol rt :
          {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
-      const int rt_var = rt == model::RoutingProtocol::kStar ? rt_star_var_
-                                                             : rt_mesh_var_;
       for (std::size_t zi = 0; zi < z_vars_.size(); ++zi) {
         const int n_nodes = scenario_.min_nodes + static_cast<int>(zi);
-        std::ostringstream name;
-        name << "y_p" << k + 1 << "_" << model::to_string(rt) << "_N"
-             << n_nodes;
-        const int y = model_.add_product(
-            {p_vars_[static_cast<std::size_t>(k)], rt_var, z_vars_[zi]},
-            name.str());
+        const int y = model_.add_continuous(
+            0.0, 1.0, 0.0,
+            "y_p" + std::to_string(k + 1) + "_" + model::to_string(rt) +
+                "_N" + std::to_string(n_nodes));
         cells_.push_back(Cell{y, cell_cost_mw(k, rt, n_nodes)});
         y_sum.push_back({y, 1.0});
         by_level[static_cast<std::size_t>(k)].push_back({y, 1.0});
@@ -132,28 +131,23 @@ MilpEncoding::MilpEncoding(const model::Scenario& scenario, int gamma)
   }
   model_.add_constraint(y_sum, lp::Sense::kEqual, 1.0, "one_cell");
   // Convexity rows: the cell mass on each factor value equals that
-  // factor's binary.  These make the LP relaxation nearly integral and
-  // cut the branch-and-bound tree by orders of magnitude.
+  // factor's binary.  They pin the cells (above) and make the LP
+  // relaxation nearly integral.
   for (int k = 0; k < scenario_.chip.num_tx_levels(); ++k) {
-    auto terms = by_level[static_cast<std::size_t>(k)];
+    auto& terms = by_level[static_cast<std::size_t>(k)];
     terms.push_back({p_vars_[static_cast<std::size_t>(k)], -1.0});
     model_.add_constraint(std::move(terms), lp::Sense::kEqual, 0.0,
                           "cell_level_link");
   }
-  {
-    auto star = by_star;
-    star.push_back({rt_star_var_, -1.0});
-    model_.add_constraint(std::move(star), lp::Sense::kEqual, 0.0,
-                          "cell_star_link");
-    auto mesh = by_mesh;
-    mesh.push_back({rt_mesh_var_, -1.0});
-    model_.add_constraint(std::move(mesh), lp::Sense::kEqual, 0.0,
-                          "cell_mesh_link");
-  }
+  by_star.push_back({rt_star_var_, -1.0});
+  model_.add_constraint(std::move(by_star), lp::Sense::kEqual, 0.0,
+                        "cell_star_link");
+  by_mesh.push_back({rt_mesh_var_, -1.0});
+  model_.add_constraint(std::move(by_mesh), lp::Sense::kEqual, 0.0,
+                        "cell_mesh_link");
   for (std::size_t zi = 0; zi < z_vars_.size(); ++zi) {
-    auto terms = by_count[zi];
-    terms.push_back({z_vars_[zi], -1.0});
-    model_.add_constraint(std::move(terms), lp::Sense::kEqual, 0.0,
+    by_count[zi].push_back({z_vars_[zi], -1.0});
+    model_.add_constraint(std::move(by_count[zi]), lp::Sense::kEqual, 0.0,
                           "cell_count_link");
   }
 
@@ -216,7 +210,7 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
   // on the (Tx level, routing, N) cell, and the remaining degrees of
   // freedom — the placement ν and the MAC bit — are constrained solely
   // by the scenario's topological rules, which feasible_topologies()
-  // enumerates exactly.
+  // enumerates exactly (listed per node count in the constructor).
   const milp::Solution sol = solver_.solve(effective);
   MilpRound round;
   round.status = sol.status;
@@ -241,10 +235,8 @@ MilpRound MilpEncoding::run_milp_impl(const milp::Options& opt,
     const auto rt = (idx % per_level) / z_vars_.size() == 0
                         ? model::RoutingProtocol::kStar
                         : model::RoutingProtocol::kMesh;
-    const int n_nodes =
-        scenario_.min_nodes + static_cast<int>(idx % z_vars_.size());
-    for (const model::Topology& t : scenario_.feasible_topologies()) {
-      if (t.count() != n_nodes) continue;
+    const auto& placements = topologies_by_count_[idx % z_vars_.size()];
+    for (const model::Topology& t : placements) {
       if (rt == model::RoutingProtocol::kStar &&
           !t.has(scenario_.coordinator)) {
         continue;

@@ -10,12 +10,18 @@
 //
 // The approximate power P̄ of Eq. (9) is nonlinear in (p, rt, N) — the
 // mesh term carries NreTx(N) = N²-4N+5 — so it is linearized exactly
-// over the finite (k, routing, N) grid: one product indicator
-// y[k][rt][N] = p_k ∧ rt ∧ z_N per cell and Σ y = 1.  One continuous
-// column P̄ >= 0 is the objective, tied to the cells by the row
-// P̄ - Σ cost(cell)·y(cell) = 0.  The MAC bit does not enter Eq. (9) (the
-// coarse model ignores MAC overheads), so every power-optimal cell yields
-// both MAC options; run_milp expands the tied optima in closed form.
+// over the finite (k, routing, N) grid: one continuous cell column
+// y[k][rt][N] in [0, 1] per cell, Σ y = 1, and convexity rows that tie
+// the cell mass on each factor value to its binary (Σ_{rt,N} y[k] = p_k,
+// Σ_{k,N} y[rt] = rt, Σ_{k,rt} y[N] = z_N).  Those rows already make y
+// the indicator p_k ∧ rt ∧ z_N whenever (p, rt, z) is integral, so the
+// encoding adds no product rows (DESIGN.md §1, `hi::milp` row).  One
+// continuous column P̄ >= 0 is the objective, tied to the cells by the
+// row P̄ - Σ cost(cell)·y(cell) = 0.  The MAC bit does not enter Eq. (9)
+// (the coarse model ignores MAC overheads), so every power-optimal cell
+// yields both MAC options; run_milp expands the tied optima in closed
+// form from the feasible placements of each node count, listed once at
+// construction.
 //
 // Algorithm 1's Update step (line 11) is the cut  P̄ >= P̄* + ε, where ε
 // is half the smallest gap between distinct cell costs, which exactly
@@ -94,8 +100,10 @@ class MilpEncoding {
   int rt_star_var_ = -1;
   int rt_mesh_var_ = -1;
   std::vector<int> z_vars_;   ///< per node count (min..max)
+  /// Feasible topologies per node count (min..max), in mask order.
+  std::vector<std::vector<model::Topology>> topologies_by_count_;
   struct Cell {
-    int y_var;       ///< product indicator
+    int y_var;       ///< cell column, the indicator at integral points
     double cost_mw;  ///< P̄ when this cell is active
   };
   std::vector<Cell> cells_;

@@ -34,26 +34,6 @@ int Model::add_constraint(std::vector<lp::Term> terms, lp::Sense sense,
   return lp_.add_constraint(std::move(terms), sense, rhs, std::move(name));
 }
 
-int Model::add_product(const std::vector<int>& binaries, std::string name) {
-  HI_REQUIRE(!binaries.empty(), "add_product: empty factor list");
-  for (int b : binaries) {
-    HI_REQUIRE(var_type(b) == VarType::kBinary,
-               "add_product: variable " << b << " is not binary");
-  }
-  const int y = add_continuous(0.0, 1.0, 0.0, name.empty() ? "prod" : name);
-  for (int b : binaries) {
-    add_constraint({{y, 1.0}, {b, -1.0}}, lp::Sense::kLessEqual, 0.0,
-                   name + "_le");
-  }
-  std::vector<lp::Term> terms{{y, 1.0}};
-  for (int b : binaries) {
-    terms.push_back({b, -1.0});
-  }
-  add_constraint(std::move(terms), lp::Sense::kGreaterEqual,
-                 -static_cast<double>(binaries.size() - 1), name + "_ge");
-  return y;
-}
-
 VarType Model::var_type(int v) const {
   HI_REQUIRE(v >= 0 && v < num_variables(), "var_type: bad index " << v);
   return types_[static_cast<std::size_t>(v)];

@@ -1,8 +1,9 @@
 // hi-opt: mixed-integer linear model.
 //
 // A thin layer over hi::lp::Problem that marks variables as continuous,
-// binary, or general-integer, and offers the linearization helpers the
-// DSE encoding needs (products of binaries).  A cold solve reads the
+// binary, or general-integer.  It has no product (AND-of-binaries)
+// helper: the DSE encoding's cell columns are continuous and pinned by
+// its convexity rows (dse/milp_encoding.hpp).  A cold solve reads the
 // model's current state, so rows and bounds may change between solves;
 // Algorithm 1's objective-level cut is a bound on the encoding's power
 // column, which milp::Solver re-solves warm (milp/solver.hpp).
@@ -42,13 +43,6 @@ class Model {
 
   /// Replaces the objective coefficient of a variable.
   void set_cost(int v, double cost) { lp_.set_cost(v, cost); }
-
-  /// Adds a continuous variable y in [0,1] constrained to equal the AND
-  /// (product) of the given binary variables:
-  ///   y <= x_i for all i,   y >= sum(x_i) - (k-1).
-  /// With binary x the LP forces y to {0,1} at integral points, so y does
-  /// not need to be branched on.
-  int add_product(const std::vector<int>& binaries, std::string name = {});
 
   [[nodiscard]] const lp::Problem& lp() const { return lp_; }
   [[nodiscard]] lp::Problem& lp() { return lp_; }

@@ -73,25 +73,6 @@ TEST(Milp, InfeasibleIntegerBox) {
   EXPECT_EQ(solve(m).status, lp::Status::kInfeasible);
 }
 
-TEST(Milp, ProductConstraintTruthTable) {
-  // y = a AND b via add_product: check all four corners by fixing a,b.
-  for (const bool av : {false, true}) {
-    for (const bool bv : {false, true}) {
-      Model m;
-      const int a = m.add_binary(0.0, "a");
-      const int b = m.add_binary(0.0, "b");
-      const int y = m.add_product({a, b}, "y");
-      m.set_cost(y, -1.0);  // maximize y via minimizing -y
-      m.add_constraint({{a, 1.0}}, lp::Sense::kEqual, av ? 1.0 : 0.0);
-      m.add_constraint({{b, 1.0}}, lp::Sense::kEqual, bv ? 1.0 : 0.0);
-      const Solution s = solve(m);
-      ASSERT_EQ(s.status, lp::Status::kOptimal);
-      EXPECT_NEAR(s.x[y], (av && bv) ? 1.0 : 0.0, 1e-6)
-          << "a=" << av << " b=" << bv;
-    }
-  }
-}
-
 TEST(Milp, NoGoodCutExcludesAssignment) {
   Model m;
   const int a = m.add_binary(-1.0);

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "lp/simplex.hpp"
 #include "model/power.hpp"
 
 namespace hi::dse {
@@ -129,7 +133,7 @@ TEST(MilpEncoding, ModelKeepsItsShapeAcrossTheWalk) {
   const int vars = enc.model().num_variables();
   const int rows = enc.model().num_constraints();
   EXPECT_EQ(vars, 38);
-  EXPECT_EQ(rows, 91);
+  EXPECT_EQ(rows, 19);
   int rounds = 0;
   for (; rounds < 100; ++rounds) {
     const MilpRound r = enc.run_milp();
@@ -139,6 +143,78 @@ TEST(MilpEncoding, ModelKeepsItsShapeAcrossTheWalk) {
     EXPECT_EQ(enc.model().num_constraints(), rows);
   }
   EXPECT_EQ(rounds, 18);
+}
+
+TEST(MilpEncoding, ConvexityRowsPinTheCellAtEveryIntegralChoice) {
+  // The cells carry no product rows: with (p, rt, z) fixed to one cell,
+  // the convexity rows alone must leave all y mass on that cell, so the
+  // LP relaxation's P̄ is that cell's cost whether it is minimized or
+  // maximized.
+  for (const int gamma : {0, 2}) {
+    model::Scenario sc;
+    const MilpEncoding enc(sc, gamma);
+    const lp::Problem& base = enc.model().lp();
+    std::map<std::string, int> var;
+    std::vector<int> cells;
+    for (int v = 0; v < base.num_variables(); ++v) {
+      var[base.variable(v).name] = v;
+      if (base.variable(v).name.starts_with("y_")) cells.push_back(v);
+    }
+    int checked = 0;
+    for (int k = 0; k < sc.chip.num_tx_levels(); ++k) {
+      for (const model::RoutingProtocol rt :
+           {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
+        for (int n = sc.min_nodes; n <= sc.max_nodes; ++n) {
+          const std::string cell = std::string("y_p") + std::to_string(k + 1) +
+                                   "_" + model::to_string(rt) + "_N" +
+                                   std::to_string(n);
+          SCOPED_TRACE(::testing::Message() << "gamma " << gamma << " "
+                                            << cell);
+          ASSERT_TRUE(var.contains(cell));
+          lp::Problem fixed = base;
+          const auto fix = [&](const std::string& name, bool on) {
+            const double v = on ? 1.0 : 0.0;
+            fixed.set_bounds(var.at(name), v, v);
+          };
+          for (int j = 0; j < sc.chip.num_tx_levels(); ++j) {
+            fix("p" + std::to_string(j + 1), j == k);
+          }
+          for (const model::RoutingProtocol r :
+               {model::RoutingProtocol::kStar, model::RoutingProtocol::kMesh}) {
+            fix(r == model::RoutingProtocol::kStar ? "rt_star" : "rt_mesh",
+                r == rt);
+          }
+          for (int m = sc.min_nodes; m <= sc.max_nodes; ++m) {
+            fix("zN" + std::to_string(m), m == n);
+          }
+          const model::RadioConfig radio = sc.chip.configure(k);
+          const double cost =
+              sc.app.baseline_mw + model::radio_power_mw(radio, sc.app, rt, n) +
+              model::robust_protection_mw(radio, sc.app, rt, n, gamma);
+          for (const lp::Objective sense :
+               {lp::Objective::kMinimize, lp::Objective::kMaximize}) {
+            fixed.set_objective(sense);
+            const lp::Solution sol = lp::solve_simplex(fixed);
+            ASSERT_EQ(sol.status, lp::Status::kOptimal);
+            // The simplex computes P̄ through pivots, so it may miss the
+            // cost bits by rounding; run_milp snaps to them within ε/2.
+            const double pbar = sol.x[static_cast<std::size_t>(var.at("pbar"))];
+            EXPECT_NEAR(pbar, cost, 1e-12 * cost);
+            EXPECT_LT(std::fabs(pbar - cost), enc.epsilon_mw() / 2.0);
+            for (const int y : cells) {
+              const bool self = y == var.at(cell);
+              EXPECT_NEAR(sol.x[static_cast<std::size_t>(y)], self ? 1.0 : 0.0,
+                          1e-12)
+                  << base.variable(y).name;
+            }
+          }
+          ++checked;
+        }
+      }
+    }
+    EXPECT_EQ(checked, static_cast<int>(cells.size()));
+    EXPECT_EQ(checked, 18);
+  }
 }
 
 TEST(MilpEncoding, CutBelowAnEarlierCutChangesNothing) {

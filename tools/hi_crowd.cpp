@@ -16,6 +16,7 @@
 
 #include "cli_args.hpp"
 #include "crowd/crowd.hpp"
+#include "net/network.hpp"
 #include "store/crowd_codec.hpp"
 #include "store/json.hpp"
 #include "store/store.hpp"
@@ -105,6 +106,8 @@ int run(int argc, char** argv) {
   }
 
   // ---- optional durable store --------------------------------------------
+  // Reject what every point would reject before the store file exists.
+  hi::net::require_valid(sim);
   std::unique_ptr<hi::store::EvalStore> store;
   if (!store_path.empty()) {
     store = std::make_unique<hi::store::EvalStore>(store_path);

@@ -22,7 +22,9 @@
 
 #include "check/scenario_gen.hpp"
 #include "cli_args.hpp"
+#include "dse/robustness.hpp"
 #include "model/design_space.hpp"
+#include "net/network.hpp"
 #include "pareto/sweep.hpp"
 #include "store/json.hpp"
 #include "store/serialize.hpp"
@@ -144,6 +146,9 @@ int run(int argc, char** argv) {
   hi::dse::Evaluator eval(settings);
 
   // ---- optional durable store --------------------------------------------
+  // Reject what every run would reject before the store file exists.
+  hi::dse::require_valid(sweep.run.robust);
+  hi::net::require_valid(settings.sim);
   std::unique_ptr<hi::store::EvalStore> store;
   hi::store::WarmStartStats warm{};
   if (!store_path.empty()) {
