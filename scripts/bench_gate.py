@@ -17,6 +17,19 @@ Usage:
       A gated baseline metric missing from NEW is a failure: renaming or
       dropping a metric must be an explicit baseline update, not a
       silent pass.
+  bench_gate.py paired --parent P1 [P2 ...] --change C1 [C2 ...]
+                       [--base BASE] [--tolerance T] [--out OUT]
+      Pi and Ci are one pair: two runs made back to back on one host.
+      Exit 0 iff, for every gated rate metric (better higher/lower), the
+      median over the pairs of Ci/Pi is within T (default 0.10) of 1 on
+      the worse side, and every gated exact metric of every change run
+      equals BASE (when given) as in compare.  A ratio within a pair
+      cancels host speed phases that last longer than the pair, which a
+      ratio of the two sides' medians does not.  OUT receives the
+      change's first run with every value replaced by the median over
+      the change's runs: the candidate baseline.  A rate row gated in
+      BASE keeps BASE's value where that is better than the change's
+      median, so a refresh never lowers a committed rate.
 
 Schema and workflow: DESIGN.md section 11; runner: scripts/bench.sh.
 Stdlib only — no third-party packages.
@@ -24,6 +37,7 @@ Stdlib only — no third-party packages.
 
 import argparse
 import json
+import statistics
 import sys
 
 SCHEMA = "hi-bench/v1"
@@ -138,6 +152,119 @@ def cmd_compare(args):
           f"within {tol:.0%} of {args.base}")
 
 
+def exact_failures(base, new, where):
+    """Gated exact metrics of BASE that NEW lacks or does not bit-equal."""
+    new_by_name = {m["name"]: m for m in new["metrics"]}
+    out = []
+    for bm in base["metrics"]:
+        if not bm["gate"] or bm["better"] != "exact":
+            continue
+        nm = new_by_name.get(bm["name"])
+        if nm is None:
+            out.append(f'{bm["name"]}: missing from {where}')
+        elif nm["gate"] and nm["value"] != bm["value"]:
+            out.append(f'{bm["name"]}: exact mismatch in {where} '
+                       f'(base {bm["value"]!r}, new {nm["value"]!r})')
+    return out
+
+
+def medians(docs):
+    """Metric name -> median value over docs (metrics present in all)."""
+    values = {}
+    for doc in docs:
+        for m in doc["metrics"]:
+            values.setdefault(m["name"], []).append(m["value"])
+    return {k: statistics.median(v) for k, v in values.items()
+            if len(v) == len(docs)}
+
+
+def cmd_paired(args):
+    parents = [load(p) for p in args.parent]
+    changes = [load(c) for c in args.change]
+    for doc, path in zip(parents + changes, args.parent + args.change):
+        check_schema(doc, path)
+    bench = changes[0]["bench"]
+    for doc, path in zip(parents + changes, args.parent + args.change):
+        if doc["bench"] != bench:
+            fail(f'bench mismatch: {path} is {doc["bench"]!r}, not {bench!r}')
+    tol = args.tolerance
+    failures = []
+    base = None
+    if args.base:
+        base = load(args.base)
+        check_schema(base, args.base)
+        for doc, path in zip(changes, args.change):
+            failures += exact_failures(base, doc, path)
+    if len(parents) != len(changes):
+        fail(f"{len(parents)} parent runs but {len(changes)} change runs")
+    pmed = medians(parents)
+    cmed = medians(changes)
+    rates = 0
+    for m in changes[0]["metrics"]:
+        name = m["name"]
+        if not m["gate"] or m["better"] == "exact":
+            continue
+        if name not in pmed:
+            print(f"bench_gate: {name}: not in the parent's runs; not gated")
+            continue
+        if name not in cmed:
+            failures.append(f"{name}: missing from some change runs")
+            continue
+        rates += 1
+        value = lambda doc: next(x["value"] for x in doc["metrics"]
+                                 if x["name"] == name)
+        ratio = statistics.median(
+            value(c) / value(p) if value(p) else float("inf")
+            for p, c in zip(parents, changes))
+        if m["better"] == "higher":
+            bad = ratio < 1.0 - tol
+        else:
+            bad = ratio > 1.0 + tol
+        line = (f"{name}: parent {pmed[name]:.6g}, change {cmed[name]:.6g} "
+                f"{m['unit']} (median pair ratio x{ratio:.3f}, better "
+                f"{m['better']})")
+        print(f"bench_gate: {'FAIL' if bad else 'ok'}: {line}")
+        if bad:
+            failures.append(f"{line}: worse than the parent by more than "
+                            f"{tol:.0%}")
+    for f in failures:
+        print(f"bench_gate: FAIL: {f}", file=sys.stderr)
+    if args.out:
+        # Exact rows keep the (identical) value of the first run.
+        doc = changes[0]
+        committed = {m["name"]: m for m in base["metrics"]
+                     if m["gate"]} if base else {}
+        walls = {}
+        for c in changes:
+            for m in c["metrics"]:
+                walls.setdefault(m["name"], []).append(m["wall_s"])
+        for m in doc["metrics"]:
+            if m["better"] != "exact":
+                m["value"] = cmed.get(m["name"], m["value"])
+                bm = committed.get(m["name"])
+                if m["gate"] and bm and bm["better"] == m["better"]:
+                    pick = max if m["better"] == "higher" else min
+                    m["value"] = pick(m["value"], bm["value"])
+            m["wall_s"] = statistics.median(walls[m["name"]])
+        with open(args.out, "w", encoding="utf-8") as f:
+            write_doc(doc, f)
+    if failures:
+        sys.exit(1)
+    print(f"bench_gate: OK: {bench}: {rates} rate metrics' median pair "
+          f"ratio within {tol:.0%} over {len(changes)} pairs")
+
+
+def write_doc(doc, f):
+    """Writes DOC in the benches' own layout: one metric per line."""
+    f.write("{\n")
+    for key in ("schema", "bench", "quick", "settings"):
+        f.write(f'  {json.dumps(key)}: {json.dumps(doc[key])},\n')
+    f.write('  "metrics": [\n')
+    rows = [json.dumps(m) for m in doc["metrics"]]
+    f.write(",\n".join(f"    {r}" for r in rows))
+    f.write("\n  ]\n}\n")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -149,6 +276,13 @@ def main():
     c.add_argument("new")
     c.add_argument("--tolerance", type=float, default=0.10)
     c.set_defaults(func=cmd_compare)
+    pr = sub.add_parser("paired")
+    pr.add_argument("--parent", nargs="+", required=True)
+    pr.add_argument("--change", nargs="+", required=True)
+    pr.add_argument("--base")
+    pr.add_argument("--tolerance", type=float, default=0.10)
+    pr.add_argument("--out")
+    pr.set_defaults(func=cmd_paired)
     args = ap.parse_args()
     args.func(args)
 

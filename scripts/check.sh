@@ -16,8 +16,8 @@
 # reused afterwards.
 #
 # Also runs the cheap documentation-consistency check (docs_check.sh)
-# up front and the quick perf-regression smoke (bench.sh --quick, 40%
-# tolerance against the committed BENCH_*.json baselines) at the end.
+# up front and the quick paired perf-regression smoke (bench.sh --quick
+# --against the parent commit) at the end.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -131,9 +131,16 @@ if grep -q '"from_store": false' "${crowd_out}"; then
   exit 1
 fi
 
-# Perf-regression smoke: scaled-down benches gated at 40% against the
-# committed baselines (full-precision gate: scripts/bench.sh, 10%).
-echo "==> bench smoke (scripts/bench.sh --quick)"
-./scripts/bench.sh --quick
+# Perf-regression smoke: scaled-down benches, alternated with the same
+# benches built from the parent commit on this host, rate rows gated at
+# 10% on the paired medians and exact rows against the committed
+# baselines.  The parent is HEAD while the tree has uncommitted changes
+# to tracked files, else HEAD~1.
+parent_rev=HEAD~1
+if ! git diff --quiet HEAD --; then
+  parent_rev=HEAD
+fi
+echo "==> bench smoke (scripts/bench.sh --quick --against ${parent_rev})"
+./scripts/bench.sh --quick --against "${parent_rev}"
 
 echo "==> all sanitizer suites passed"

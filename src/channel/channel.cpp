@@ -39,7 +39,10 @@ BodyChannel::BodyChannel(PathLossMatrix avg, BodyChannelParams params, Rng rng)
 
 BodyChannel::BodyChannel(PathLossMatrix avg, BodyChannelParams params,
                          std::shared_ptr<const BodyTapes> tapes)
-    : avg_(std::move(avg)), params_(params), tapes_(std::move(tapes)) {
+    : avg_(std::move(avg)),
+      params_(params),
+      tapes_(std::move(tapes)),
+      decay_(params_.tau_s) {
   HI_REQUIRE(params_.sigma_base_db >= 0.0 && params_.sigma_per_m_db >= 0.0 &&
                  params_.sigma_max_db >= 0.0,
              "fade std-devs must be non-negative");
@@ -73,7 +76,7 @@ double BodyChannel::path_loss_db(int i, int j, double t) {
     return 0.0;
   }
   LinkState& link = links_[link_index(i, j)];
-  return link.base_db + link.fade.sample_db(t);
+  return link.base_db + link.fade.sample_db(t, decay_);
 }
 
 void BodyChannel::path_loss_batch_db(int i, const int* js, std::size_t n,
@@ -85,7 +88,7 @@ void BodyChannel::path_loss_batch_db(int i, const int* js, std::size_t n,
       continue;
     }
     LinkState& link = links_[link_index(i, j)];
-    out[k] = link.base_db + link.fade.sample_db(t);
+    out[k] = link.base_db + link.fade.sample_db(t, decay_);
   }
 }
 

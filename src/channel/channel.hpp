@@ -110,6 +110,7 @@ struct BodyChannelParams {
 /// stream after it; a channel built on an Rng is the one on that Rng's
 /// empty tapes.  Channels of one seed can share one full set across
 /// threads, and results are bit-identical whatever the tapes' length.
+/// The links share one DecayTable, since they share τ.
 class BodyChannel final : public ChannelModel {
  public:
   /// Draws every fade from `rng`'s link streams: the channel built on
@@ -144,6 +145,7 @@ class BodyChannel final : public ChannelModel {
   /// Every link's fade points into these; the channel keeps them alive.
   std::shared_ptr<const BodyTapes> tapes_;
   std::vector<LinkState> links_;  ///< all pairs, built at construction
+  DecayTable decay_;              ///< ρ(Δt) for params_.tau_s
 };
 
 /// Convenience factory: calibrated body matrix + default fading.  This

@@ -39,7 +39,7 @@ std::uint64_t CrowdChannel::body_channel_seed(std::uint64_t seed, int b) {
 CrowdChannel::CrowdChannel(std::vector<BodyPose> poses,
                            BodyChannelParams intra, InterBodyParams inter,
                            std::uint64_t seed)
-    : poses_(std::move(poses)), inter_(inter) {
+    : poses_(std::move(poses)), inter_(inter), cross_decay_(inter.tau_s) {
   const int m = static_cast<int>(poses_.size());
   HI_REQUIRE(m >= 1, "CrowdChannel: need at least one body");
   HI_REQUIRE(inter_.exponent > 0.0 && inter_.d0_m > 0.0 &&
@@ -112,7 +112,7 @@ double CrowdChannel::sample_cross_db(CrossLink& link, double t) {
     return link.base_db + link.fade.current_db();
   }
   link.hold_until = t + cross_coherence_s_;
-  return link.base_db + link.fade.sample_db(t);
+  return link.base_db + link.fade.sample_db(t, cross_decay_);
 }
 
 double CrowdChannel::path_loss_db(int gi, int gj, double t) {

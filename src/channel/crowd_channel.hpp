@@ -21,7 +21,8 @@
 // fanning out to every other radio via path_loss_batch_db) is index
 // arithmetic plus one Gauss-Markov step per receiver, no map lookups.
 // M=1 builds no cross state and draws nothing beyond body 0's intra
-// links.
+// links.  The cross links share one DecayTable; each body's intra
+// channel keeps its own.
 //
 // Cross-fade coherence: a dense crowd transmits every few milliseconds
 // while the fade decorrelates on the body-movement timescale τ (1 s by
@@ -110,6 +111,8 @@ class CrowdChannel final : public ChannelModel {
   std::vector<std::unique_ptr<BodyChannel>> intra_;
   /// Pair-major flat table: pair(a<b) * 100 + li * 10 + lj.
   std::vector<CrossLink> cross_;
+  /// ρ(Δt) for inter_.tau_s, shared by every cross link.
+  DecayTable cross_decay_;
 };
 
 /// Factory mirroring make_default_body_channel: calibrated intra matrix,

@@ -1,7 +1,5 @@
 #include "channel/temporal.hpp"
 
-#include <cmath>
-
 #include "common/assert.hpp"
 
 namespace hi::channel {
@@ -26,7 +24,7 @@ GaussMarkovFade::GaussMarkovFade(GaussMarkovParams params,
   tape_size_ = tape.draws().size();
 }
 
-double GaussMarkovFade::sample_db(double t) {
+double GaussMarkovFade::sample_db(double t, DecayTable& decay) {
   if (!initialized_) {
     initialized_ = true;
     last_t_ = t;
@@ -39,9 +37,8 @@ double GaussMarkovFade::sample_db(double t) {
   if (dt == 0.0) {
     return delta_db_;
   }
-  const double rho = std::exp(-dt / params_.tau_s);
-  const double innovation_sd = params_.sigma_db * std::sqrt(1.0 - rho * rho);
-  delta_db_ = rho * delta_db_ + normal(innovation_sd);
+  const DecayTable::Decay& d = decay.at(dt);
+  delta_db_ = d.rho * delta_db_ + normal(params_.sigma_db * d.scale);
   return delta_db_;
 }
 

@@ -24,9 +24,21 @@
 // share one channel seed (common random numbers across design points)
 // read each link's innovations instead of recomputing them; the polar
 // method's log/sqrt is the bulk of a fade sample's cost.
+//
+// A step with Δt > 0 reads ρ = exp(-Δt/τ) and sqrt(1-ρ²) from a
+// DecayTable, the only way a fade steps.  A channel owns one table per
+// τ and passes it to every link's step.  Keyed per channel, Δt repeats
+// most of the time: one transmitter's links share their last sample
+// time, and the TDMA slot lattice and periodic traffic leave a small set
+// of Δt values in a run.  A hit returns the double a recomputation would
+// give, so trajectories are bit-identical with or without the table.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,6 +68,51 @@ class NormalTape {
   Rng rest_;
 };
 
+/// ρ(Δt) and sqrt(1-ρ²) for one τ, memoised in a fixed-size
+/// direct-mapped table keyed by the bit pattern of Δt.  Not shared
+/// across threads: each channel object owns its tables.
+class DecayTable {
+ public:
+  static constexpr std::size_t kSlots = 512;
+
+  /// The decay of one Δt: δ(t) = rho·δ(t-Δt) + σ·scale·N(0,1).
+  struct Decay {
+    double rho;
+    double scale;  ///< sqrt(1 - rho²)
+  };
+
+  explicit DecayTable(double tau_s) : tau_s_(tau_s) {}
+
+  /// The slot Δt maps to; exposed so tests can force a collision.
+  [[nodiscard]] static std::size_t slot(double dt) {
+    return static_cast<std::size_t>(
+        (std::bit_cast<std::uint64_t>(dt) * 0x9E3779B97F4A7C15ULL) >> 55);
+  }
+
+  /// The decay over `dt` > 0.  A key of 0 (Δt = +0.0) marks an empty
+  /// slot, so Δt must not be zero.
+  [[nodiscard]] const Decay& at(double dt) {
+    static_assert(kSlots == std::size_t{1} << (64 - 55));
+    const std::uint64_t key = std::bit_cast<std::uint64_t>(dt);
+    Slot& s = slots_[slot(dt)];
+    if (s.key != key) {
+      s.key = key;
+      s.decay.rho = std::exp(-dt / tau_s_);
+      s.decay.scale = std::sqrt(1.0 - s.decay.rho * s.decay.rho);
+    }
+    return s.decay;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    Decay decay{};
+  };
+
+  double tau_s_;
+  std::array<Slot, kSlots> slots_{};
+};
+
 /// One link's temporal fade state.  Sampling at monotonically
 /// non-decreasing times yields a stationary Gauss-Markov trajectory;
 /// the first sample is drawn from the stationary distribution.
@@ -71,8 +128,10 @@ class GaussMarkovFade {
   GaussMarkovFade(GaussMarkovParams params, const NormalTape& tape);
   GaussMarkovFade(GaussMarkovParams params, NormalTape&& tape) = delete;
 
-  /// Returns δPL at time t (dB).  `t` must be >= the previous call's time.
-  double sample_db(double t);
+  /// Returns δPL at time t (dB).  `t` must be >= the previous call's
+  /// time.  The step decays with `decay`'s τ, so the caller passes a
+  /// table built from the τ the fade was constructed with.
+  double sample_db(double t, DecayTable& decay);
 
   /// Last sampled value without advancing the process.
   [[nodiscard]] double current_db() const { return delta_db_; }

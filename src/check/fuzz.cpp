@@ -126,6 +126,15 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
          for (int i = 0; i < 4 && out.empty(); ++i) out = check_fade_tape(rng);
          return out;
        }},
+      {"decay_table",
+       [](const ScenarioSpec& s) {
+         Rng rng = Rng{s.seed}.fork("check.decay_table");
+         std::vector<std::string> out;
+         for (int i = 0; i < 4 && out.empty(); ++i) {
+           out = check_decay_table(rng);
+         }
+         return out;
+       }},
   };
   const std::vector<Property> rotated = {
       {"alg1_vs_exhaustive+pdrmin_monotone", dse_metamorphic},

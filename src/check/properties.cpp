@@ -453,10 +453,11 @@ std::vector<std::string> check_fade_tape(Rng& rng) {
   const channel::NormalTape tape(stream, len);
   channel::GaussMarkovFade plain(gm, stream);
   channel::GaussMarkovFade taped(gm, tape);
+  channel::DecayTable decay(gm.tau_s);
   for (TimeWalk w{rng.uniform(0.0, 2.0)}; w.draws <= past_end;
        w.step(rng, gm.tau_s)) {
-    const double a = plain.sample_db(w.t);
-    const double b = taped.sample_db(w.t);
+    const double a = plain.sample_db(w.t, decay);
+    const double b = taped.sample_db(w.t, decay);
     if (!same_bits(a, b) || !same_bits(plain.current_db(), taped.current_db())) {
       fail(out, "fade (sigma ", gm.sigma_db, ", tau ", gm.tau_s, ", tape ",
            len, ") differs at draw ", w.draws, ", t ", w.t, ": ", a, " vs ",
@@ -505,6 +506,98 @@ std::vector<std::string> check_fade_tape(Rng& rng) {
       fail(out, "body channel (tape ", len, ") differs on link ", i, "->", j,
            " at draw ", w.draws, ", t ", w.t, ": ", a, " vs ", b);
       return out;
+    }
+  }
+  return out;
+}
+
+namespace {
+
+/// The Gauss-Markov step written with the plain formula: ρ and the
+/// innovation's std-dev recomputed from Δt at every step.
+struct ReferenceFade {
+  channel::GaussMarkovParams gm;
+  Rng rng;
+  double last_t = 0.0;
+  double delta_db = 0.0;
+  bool initialized = false;
+
+  double sample_db(double t) {
+    if (!initialized) {
+      initialized = true;
+      last_t = t;
+      delta_db = rng.normal(0.0, gm.sigma_db);
+      return delta_db;
+    }
+    const double dt = t - last_t;
+    last_t = t;
+    if (dt == 0.0) return delta_db;
+    const double rho = std::exp(-dt / gm.tau_s);
+    delta_db = rho * delta_db +
+               rng.normal(0.0, gm.sigma_db * std::sqrt(1.0 - rho * rho));
+    return delta_db;
+  }
+};
+
+}  // namespace
+
+std::vector<std::string> check_decay_table(Rng& rng) {
+  std::vector<std::string> out;
+  const double tau = rng.uniform(0.05, 3.0);
+  const channel::GaussMarkovParams ga{rng.uniform(0.0, 12.0), tau};
+  const channel::GaussMarkovParams gb{rng.uniform(0.0, 12.0), tau};
+  const Rng stream_a{rng.next_u64()};
+  const Rng stream_b{rng.next_u64()};
+
+  // Δt values are multiples of 2^-10 s and times start on that grid, so
+  // every t − t_prev is exact and the table sees exactly these keys.
+  constexpr double kTick = 1.0 / 1024.0;
+  const auto ticks = [&] { return rng.uniform_int(1, 3 * 1024); };
+  std::vector<double> dts;
+  for (int k = 0; k < 4; ++k) dts.push_back(kTick * ticks());
+  // Two Δt values that share a slot, alternated below.
+  const double c0 = kTick * ticks();
+  double c1 = c0;
+  while (c1 == c0 || channel::DecayTable::slot(c1) !=
+                         channel::DecayTable::slot(c0)) {
+    c1 = kTick * ticks();
+  }
+
+  ReferenceFade ref_a{ga, stream_a};
+  ReferenceFade ref_b{gb, stream_b};
+  channel::GaussMarkovFade own_a(ga, stream_a), own_b(gb, stream_b);
+  channel::GaussMarkovFade shared_a(ga, stream_a), shared_b(gb, stream_b);
+  channel::DecayTable table_a(tau), table_b(tau), shared(tau);
+  double t = kTick * rng.uniform_int(0, 2048);
+  int collide = 0;
+  for (int step = 0; step < 400; ++step) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.4) {
+      t += (collide ^= 1) != 0 ? c1 : c0;
+    } else if (u < 0.8) {
+      t += dts[rng.uniform_index(dts.size())];
+    }  // else Δt = 0
+    // b skips some times, so its Δt spans several of a's steps.
+    const bool with_b = rng.bernoulli(0.7);
+    const double ra = ref_a.sample_db(t);
+    const double oa = own_a.sample_db(t, table_a);
+    const double sa = shared_a.sample_db(t, shared);
+    if (!same_bits(ra, oa) || !same_bits(oa, sa)) {
+      fail(out, "decay table (sigma ", ga.sigma_db, ", tau ", tau,
+           ") differs at step ", step, ", t ", t, ": reference ", ra,
+           ", own table ", oa, ", shared table ", sa);
+      return out;
+    }
+    if (with_b) {
+      const double rb = ref_b.sample_db(t);
+      const double ob = own_b.sample_db(t, table_b);
+      const double sb = shared_b.sample_db(t, shared);
+      if (!same_bits(rb, ob) || !same_bits(ob, sb)) {
+        fail(out, "decay table (sigma ", gb.sigma_db, ", tau ", tau,
+             ") differs on the second fade at step ", step, ", t ", t,
+             ": reference ", rb, ", own table ", ob, ", shared table ", sb);
+        return out;
+      }
     }
   }
   return out;

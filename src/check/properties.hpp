@@ -99,6 +99,14 @@ namespace hi::check {
 /// path_loss_db in both orientations of a link.
 [[nodiscard]] std::vector<std::string> check_fade_tape(Rng& rng);
 
+/// Table ≡ formula: with random σ and τ and sample times whose Δt come
+/// from a small set, Δt = 0 and two Δt values forced into one
+/// DecayTable slot (alternated), every table-backed GaussMarkovFade
+/// step bit-equals a reference step that recomputes exp(−Δt/τ) and
+/// sqrt(1−ρ²), and two fades sharing one table bit-equal two fades with
+/// a table each.
+[[nodiscard]] std::vector<std::string> check_decay_table(Rng& rng);
+
 // --- metamorphic DSE properties ----------------------------------------
 
 /// Algorithm 1 (sound bound) and exhaustive search agree on feasibility

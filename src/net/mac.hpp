@@ -36,12 +36,14 @@ class PacketQueue {
 
   /// Caller must check full() first — the MAC drop policy lives there.
   void push_back(const Packet& p) {
-    ring_[(head_ + size_) % ring_.size()] = p;
+    std::size_t tail = head_ + size_;
+    if (tail >= ring_.size()) tail -= ring_.size();
+    ring_[tail] = p;
     ++size_;
   }
 
   void pop_front() {
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size()) head_ = 0;
     --size_;
   }
 

@@ -1,7 +1,5 @@
 #include "net/medium.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 #include "net/radio.hpp"
 
@@ -13,12 +11,26 @@ Medium::Medium(des::Kernel& kernel, channel::ChannelModel& channel,
 
 void Medium::attach(Radio* radio) {
   HI_REQUIRE(radio != nullptr, "attach: null radio");
-  HI_REQUIRE(std::none_of(radios_.begin(), radios_.end(),
-                          [&](const Radio* r) {
-                            return r->channel_id() == radio->channel_id();
-                          }),
-             "attach: duplicate radio at channel id " << radio->channel_id());
+  const int id = radio->channel_id();
+  HI_REQUIRE(id >= 0, "attach: negative channel id " << id);
+  const auto slot = static_cast<std::size_t>(id);
+  if (row_of_.size() <= slot) {
+    row_of_.resize(slot + 1, -1);
+  }
+  HI_REQUIRE(row_of_[slot] < 0, "attach: duplicate radio at channel id " << id);
+  Row own;
+  own.ids.reserve(radios_.size());
+  own.radios.reserve(radios_.size());
+  for (std::size_t k = 0; k < radios_.size(); ++k) {
+    own.ids.push_back(radios_[k]->channel_id());
+    own.radios.push_back(radios_[k]);
+    rows_[k].ids.push_back(id);
+    rows_[k].radios.push_back(radio);
+  }
+  row_of_[slot] = static_cast<int>(rows_.size());
+  rows_.push_back(std::move(own));
   radios_.push_back(radio);
+  batch_pl_.resize(radios_.size() - 1);
 }
 
 void Medium::begin_transmission(Radio& tx, const Packet& p,
@@ -31,24 +43,16 @@ void Medium::begin_transmission(Radio& tx, const Packet& p,
                                    p.origin, p.seq,
                                    static_cast<double>(p.bytes), duration_s});
   }
-  // Batched fan-out: collect every other radio's channel id, sample all
-  // path losses in one channel call (same pairs, same order as the
-  // historical per-pair loop — the default batch implementation *is*
-  // that loop, so fade draws are bit-identical), then offer signals.
-  batch_ids_.clear();
-  const std::size_t fanout = radios_.size() - 1;
-  if (batch_ids_.capacity() < fanout) {
-    batch_ids_.reserve(radios_.size());
-    batch_pl_.reserve(radios_.size());
-  }
-  for (Radio* rx : radios_) {
-    if (rx->channel_id() != tx.channel_id()) {
-      batch_ids_.push_back(rx->channel_id());
-    }
-  }
-  batch_pl_.resize(batch_ids_.size());
-  channel_.path_loss_batch_db(tx.channel_id(), batch_ids_.data(),
-                              batch_ids_.size(), now, batch_pl_.data());
+  // Batched fan-out: sample every receiver's path loss in one channel
+  // call, in attach order (the default batch implementation is the
+  // per-pair loop, so fade draws are bit-identical), then offer signals.
+  const auto slot = static_cast<std::size_t>(tx.channel_id());
+  HI_ASSERT_MSG(slot < row_of_.size() && row_of_[slot] >= 0,
+                "transmission from unattached channel id " << slot);
+  const Row& row = rows_[static_cast<std::size_t>(row_of_[slot])];
+  const std::size_t fanout = row.ids.size();
+  channel_.path_loss_batch_db(tx.channel_id(), row.ids.data(), fanout, now,
+                              batch_pl_.data());
   if (free_lists_.empty()) {
     free_lists_.push_back(static_cast<std::uint32_t>(receivers_.size()));
     receivers_.emplace_back().reserve(fanout);
@@ -57,12 +61,9 @@ void Medium::begin_transmission(Radio& tx, const Packet& p,
   free_lists_.pop_back();
   std::vector<Radio*>& heard = receivers_[list];
   heard.clear();
-  std::size_t k = 0;
-  for (Radio* rx : radios_) {
-    if (rx->channel_id() == tx.channel_id()) {
-      continue;
-    }
-    const double rx_dbm = tx.params().tx_dbm - batch_pl_[k++];
+  for (std::size_t k = 0; k < fanout; ++k) {
+    Radio* rx = row.radios[k];
+    const double rx_dbm = tx.params().tx_dbm - batch_pl_[k];
     const bool foreign = rx->net_id() != tx.net_id();
     if (rx_dbm < rx->params().sensitivity_dbm) {
       ++stats_.below_sensitivity;

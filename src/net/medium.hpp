@@ -46,8 +46,12 @@ class Medium {
   Medium& operator=(const Medium&) = delete;
 
   /// Registers a radio; all registered radios hear each other's
-  /// transmissions (subject to path loss).  Radios must carry distinct
-  /// channel ids (single body: the location; crowd: body * 10 + location).
+  /// transmissions (subject to path loss).  Radios must carry distinct,
+  /// non-negative channel ids (single body: the location; crowd:
+  /// body * 10 + location).  Builds the radio's receiver row (every
+  /// other radio, in attach order) and appends the radio to every
+  /// existing row, so a radio attached mid-run hears later
+  /// transmissions.
   void attach(Radio* radio);
 
   /// Starts a transmission from `tx`: distributes signal_start to every
@@ -63,16 +67,25 @@ class Medium {
   /// The transmission-end event of begin_transmission.
   void end_transmission(Radio& tx, std::uint64_t tx_id, std::uint32_t list);
 
+  /// One transmitter's receivers: every other attached radio, in attach
+  /// order, with its channel id alongside for the batched channel call.
+  struct Row {
+    std::vector<int> ids;
+    std::vector<Radio*> radios;
+  };
+
   des::Kernel& kernel_;
   channel::ChannelModel& channel_;
   const obs::RunTrace* trace_;
-  std::vector<Radio*> radios_;
+  std::vector<Radio*> radios_;  ///< in attach order
+  /// rows_[k] is radios_[k]'s receiver row, and rows_[row_of_[id]] the
+  /// row of the radio at channel id `id`; -1 marks an unused id.
+  std::vector<Row> rows_;
+  std::vector<int> row_of_;
   std::uint64_t next_tx_id_ = 1;
   MediumStats stats_;
-  /// Scratch for the batched per-transmission path-loss sampling
-  /// (receiver channel ids / sampled losses); sized once, reused for
-  /// every transmission — no allocation on the hot path after warmup.
-  std::vector<int> batch_ids_;
+  /// Scratch for the sampled losses of one transmission; sized to the
+  /// widest row, reused for every transmission.
   std::vector<double> batch_pl_;
   /// Pooled receiver lists, one per transmission on the air, recycled
   /// through free_lists_ when it ends: no allocation per transmission

@@ -60,7 +60,7 @@ Radio::Signal* Radio::find_signal(std::uint64_t tx_id) {
 void Radio::signal_start(std::uint64_t tx_id, double rx_dbm, const Packet& p,
                          bool foreign) {
   // The medium only offers signals above sensitivity.
-  audible_.push_back(Signal{tx_id, rx_dbm, p, foreign});
+  audible_.push_back(Signal{tx_id, rx_dbm, foreign});
   if (foreign) {
     ++crowd_.foreign_heard;
   }
@@ -76,6 +76,7 @@ void Radio::signal_start(std::uint64_t tx_id, double rx_dbm, const Packet& p,
     // interference can already doom it.
     decoding_ = true;
     current_rx_id_ = tx_id;
+    decode_packet_ = p;
     current_corrupted_ = false;
     decode_start_ = kernel_.now();
     for (const Signal& sig : audible_) {
@@ -103,7 +104,7 @@ void Radio::signal_end(std::uint64_t tx_id) {
   if (it == nullptr) {
     return;  // signal started while we were attached elsewhere — ignore
   }
-  const Signal sig = *it;
+  const bool foreign = it->foreign;
   // Swap-remove: audible_ order is never observable (see header).
   *it = audible_.back();
   audible_.pop_back();
@@ -111,7 +112,7 @@ void Radio::signal_end(std::uint64_t tx_id) {
     decoding_ = false;
     current_rx_id_ = 0;
     rx_energy_mj_ += (kernel_.now() - decode_start_) * params_.rx_mw;
-    if (sig.foreign) {
+    if (foreign) {
       // Decoded a packet from another body's network: the net-id check
       // drops it here.  The decode time was still paid (energy above)
       // and the radio was busy for local traffic the whole time.
@@ -125,19 +126,22 @@ void Radio::signal_end(std::uint64_t tx_id) {
       if (trace_ != nullptr) {
         trace_->record(obs::TraceEvent{kernel_.now(),
                                        obs::TraceKind::kRxCollision,
-                                       location_, sig.packet.origin,
-                                       sig.packet.seq});
+                                       location_, decode_packet_.origin,
+                                       decode_packet_.seq});
       }
     } else {
       ++stats_.rx_ok;
       if (trace_ != nullptr) {
-        trace_->record(obs::TraceEvent{kernel_.now(), obs::TraceKind::kRxOk,
-                                       location_, sig.packet.origin,
-                                       sig.packet.seq,
-                                       static_cast<double>(sig.packet.hops)});
+        trace_->record(obs::TraceEvent{
+            kernel_.now(), obs::TraceKind::kRxOk, location_,
+            decode_packet_.origin, decode_packet_.seq,
+            static_cast<double>(decode_packet_.hops)});
       }
       if (on_receive) {
-        on_receive(sig.packet);
+        // Copied out: the handler may start a same-time transmission
+        // that this radio hears, which starts a new decode.
+        const Packet packet = decode_packet_;
+        on_receive(packet);
       }
     }
   }

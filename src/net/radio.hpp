@@ -118,10 +118,11 @@ class Radio {
   void finish_transmit();
 
  private:
+  /// A signal on the air at this radio.  Only the decoded signal's
+  /// packet matters, so it lives in decode_packet_, not here.
   struct Signal {
     std::uint64_t tx_id;
     double rx_dbm;
-    Packet packet;
     bool foreign;
   };
 
@@ -144,6 +145,8 @@ class Radio {
 
   bool decoding_ = false;
   std::uint64_t current_rx_id_ = 0;
+  /// The packet being decoded, copied once when the decode starts.
+  Packet decode_packet_;
   bool current_corrupted_ = false;
   double decode_start_ = 0.0;
 

@@ -91,7 +91,8 @@ TEST(GaussMarkov, FirstSampleFromStationaryDistribution) {
   RunningStats s;
   for (std::uint64_t seed = 0; seed < 4'000; ++seed) {
     GaussMarkovFade f(p, Rng{seed});
-    s.add(f.sample_db(0.0));
+    DecayTable decay(p.tau_s);
+    s.add(f.sample_db(0.0, decay));
   }
   EXPECT_NEAR(s.mean(), 0.0, 0.3);
   EXPECT_NEAR(s.stddev(), 6.0, 0.3);
@@ -100,11 +101,12 @@ TEST(GaussMarkov, FirstSampleFromStationaryDistribution) {
 TEST(GaussMarkov, StationaryAfterLongRun) {
   GaussMarkovParams p{4.0, 0.5};
   GaussMarkovFade f(p, Rng{11});
+  DecayTable decay(p.tau_s);
   RunningStats s;
   double t = 0.0;
   for (int i = 0; i < 200'000; ++i) {
     t += 0.05;
-    s.add(f.sample_db(t));
+    s.add(f.sample_db(t, decay));
   }
   EXPECT_NEAR(s.mean(), 0.0, 0.15);
   EXPECT_NEAR(s.stddev(), 4.0, 0.15);
@@ -115,10 +117,11 @@ TEST(GaussMarkov, AutocorrelationMatchesExpDecay) {
   GaussMarkovParams p{5.0, 2.0};
   const double dt = 1.0;  // one lag = dt/tau = 0.5
   GaussMarkovFade f(p, Rng{13});
+  DecayTable decay(p.tau_s);
   std::vector<double> x;
   double t = 0.0;
   for (int i = 0; i < 100'000; ++i) {
-    x.push_back(f.sample_db(t));
+    x.push_back(f.sample_db(t, decay));
     t += dt;
   }
   std::vector<double> head(x.begin(), x.end() - 1);
@@ -128,15 +131,17 @@ TEST(GaussMarkov, AutocorrelationMatchesExpDecay) {
 
 TEST(GaussMarkov, ZeroElapsedTimeKeepsValue) {
   GaussMarkovFade f({6.0, 1.0}, Rng{17});
-  const double v = f.sample_db(3.0);
-  EXPECT_DOUBLE_EQ(f.sample_db(3.0), v);
+  DecayTable decay(1.0);
+  const double v = f.sample_db(3.0, decay);
+  EXPECT_DOUBLE_EQ(f.sample_db(3.0, decay), v);
   EXPECT_DOUBLE_EQ(f.current_db(), v);
 }
 
 TEST(GaussMarkov, TinyStepBarelyMoves) {
   GaussMarkovFade f({6.0, 1.0}, Rng{19});
-  const double v0 = f.sample_db(0.0);
-  const double v1 = f.sample_db(1e-6);
+  DecayTable decay(1.0);
+  const double v0 = f.sample_db(0.0, decay);
+  const double v1 = f.sample_db(1e-6, decay);
   EXPECT_NEAR(v1, v0, 0.1);
 }
 
@@ -208,6 +213,15 @@ TEST(NormalTape, TapeBackedFadesAndChannelsBitEqualTheStream) {
   Rng rng = Rng{2026}.fork("test.fade_tape");
   for (int i = 0; i < 200; ++i) {
     for (const std::string& v : check::check_fade_tape(rng)) {
+      ADD_FAILURE() << "instance " << i << ": " << v;
+    }
+  }
+}
+
+TEST(DecayTable, TableBackedStepsBitEqualThePlainFormula) {
+  Rng rng = Rng{2026}.fork("test.decay_table");
+  for (int i = 0; i < 200; ++i) {
+    for (const std::string& v : check::check_decay_table(rng)) {
       ADD_FAILURE() << "instance " << i << ": " << v;
     }
   }

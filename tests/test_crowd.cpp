@@ -8,11 +8,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "channel/crowd_channel.hpp"
 #include "common/assert.hpp"
 #include "crowd/crowd.hpp"
 #include "des/kernel.hpp"
@@ -253,6 +256,53 @@ TEST(Crowd, MultiBodyRunRecordsTheSingleBodyCounterSet) {
   (void)crowd::simulate_crowd(sc, *crowd::make_crowd_channel_for(sc, 6), sp);
   EXPECT_EQ(metrics.counter("net.runs").value(), 2u);
   EXPECT_EQ(metrics.counter("net.crowd_runs").value(), 2u);
+}
+
+/// Records every batched call's transmitter and receiver list, then
+/// samples the wrapped channel.
+class RecordingChannel final : public channel::ChannelModel {
+ public:
+  explicit RecordingChannel(channel::ChannelModel& inner) : inner_(inner) {}
+
+  double path_loss_db(int i, int j, double t) override {
+    return inner_.path_loss_db(i, j, t);
+  }
+  void path_loss_batch_db(int i, const int* js, std::size_t n, double t,
+                          double* out) override {
+    calls.push_back({i, std::vector<int>(js, js + n)});
+    inner_.path_loss_batch_db(i, js, n, t, out);
+  }
+  [[nodiscard]] double mean_path_loss_db(int i, int j) const override {
+    return inner_.mean_path_loss_db(i, j);
+  }
+
+  std::vector<std::pair<int, std::vector<int>>> calls;
+
+ private:
+  channel::ChannelModel& inner_;
+};
+
+TEST(Crowd, TwoBodyFanOutListsEveryOtherRadioInAttachOrder) {
+  const model::CrowdScenario sc = dense_crowd(2);
+  const auto crowd_ch = crowd::make_crowd_channel_for(sc, 2017);
+  RecordingChannel rec(*crowd_ch);
+  (void)crowd::simulate_crowd(sc, rec, short_params());
+  // Bodies are built in canonical order, each in topology order.
+  const std::vector<int> radios = {0, 1, 3, 5, 10, 11, 13, 15};
+  ASSERT_FALSE(rec.calls.empty());
+  std::vector<bool> sent(radios.size(), false);
+  for (const auto& [tx, rx] : rec.calls) {
+    std::vector<int> want;
+    for (std::size_t k = 0; k < radios.size(); ++k) {
+      if (radios[k] == tx) {
+        sent[k] = true;
+      } else {
+        want.push_back(radios[k]);
+      }
+    }
+    ASSERT_EQ(rx, want) << "sender " << tx;
+  }
+  EXPECT_EQ(std::count(sent.begin(), sent.end(), true), 8);
 }
 
 TEST(Crowd, SweepRejectsNegativeThreads) {

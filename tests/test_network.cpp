@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -320,6 +321,155 @@ TEST(TransmissionEnd, UnheardTransmissionStillFinishes) {
   EXPECT_EQ(w.medium.stats().below_sensitivity, 2u);
   EXPECT_EQ(w.kernel.events_processed(), 1u);
   EXPECT_EQ(w.kernel.dispatches(), 1u);
+}
+
+/// A uniform 60 dB channel that records every batched call's
+/// transmitter and receiver list.
+class RecordingChannel final : public channel::ChannelModel {
+ public:
+  struct Call {
+    int tx;
+    std::vector<int> rx;
+  };
+
+  double path_loss_db(int /*i*/, int /*j*/, double /*t*/) override {
+    return 60.0;
+  }
+  void path_loss_batch_db(int i, const int* js, std::size_t n, double t,
+                          double* out) override {
+    calls.push_back(Call{i, std::vector<int>(js, js + n)});
+    ChannelModel::path_loss_batch_db(i, js, n, t, out);
+  }
+  [[nodiscard]] double mean_path_loss_db(int /*i*/, int /*j*/) const override {
+    return 60.0;
+  }
+
+  std::vector<Call> calls;
+};
+
+/// `order` without `id`.
+std::vector<int> all_but(const std::vector<int>& order, int id) {
+  std::vector<int> out;
+  for (const int x : order) {
+    if (x != id) out.push_back(x);
+  }
+  return out;
+}
+
+TEST(FanOut, RowsListTheOtherRadiosInAttachOrder) {
+  des::Kernel kernel;
+  RecordingChannel ch;
+  Medium medium(kernel, ch);
+  const std::vector<int> order = {5, 2, 7, 0};
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (const int loc : order) {
+    radios.push_back(std::make_unique<Radio>(kernel, medium, loc,
+                                             RadioParams{}));
+    medium.attach(radios.back().get());
+  }
+  for (std::size_t k = 0; k < radios.size(); ++k) {
+    radios[k]->transmit(packet_from(order[k]));
+    kernel.run_to_completion();
+  }
+  ASSERT_EQ(ch.calls.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(ch.calls[k].tx, order[k]);
+    EXPECT_EQ(ch.calls[k].rx, all_but(order, order[k])) << "sender " << k;
+  }
+}
+
+TEST(FanOut, TwoBodyRowsSpanBothBodiesInAttachOrder) {
+  des::Kernel kernel;
+  RecordingChannel ch;
+  Medium medium(kernel, ch);
+  // Body 1 attached first, then body 0; channel id = body * 10 + loc.
+  const std::vector<int> order = {10, 13, 0, 3, 16};
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (const int id : order) {
+    radios.push_back(std::make_unique<Radio>(kernel, medium, id % 10,
+                                             RadioParams{}, nullptr, id / 10,
+                                             id));
+    medium.attach(radios.back().get());
+  }
+  for (std::size_t k = 0; k < radios.size(); ++k) {
+    radios[k]->transmit(packet_from(order[k] % 10));
+    kernel.run_to_completion();
+  }
+  ASSERT_EQ(ch.calls.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(ch.calls[k].tx, order[k]);
+    EXPECT_EQ(ch.calls[k].rx, all_but(order, order[k])) << "sender " << k;
+  }
+  // Every packet was offered to each radio of the other body.
+  EXPECT_EQ(medium.stats().cross_offered, 2u * 3u + 3u * 2u);
+}
+
+TEST(FanOut, SimulatedBodyRowsAreTheOtherNodes) {
+  RecordingChannel ch;
+  SimParams sp;
+  sp.duration_s = 2.0;
+  (void)simulate(star_config(model::MacProtocol::kCsma), ch, sp);
+  const std::vector<int> nodes = {0, 1, 3, 5};
+  ASSERT_FALSE(ch.calls.empty());
+  for (const RecordingChannel::Call& c : ch.calls) {
+    ASSERT_EQ(c.rx, all_but(nodes, c.tx));
+  }
+}
+
+TEST(FanOut, RadioAttachedAfterAFirstTransmissionJoinsLaterRows) {
+  des::Kernel kernel;
+  RecordingChannel ch;
+  Medium medium(kernel, ch);
+  std::vector<std::unique_ptr<Radio>> radios;
+  const auto add = [&](int loc) {
+    radios.push_back(std::make_unique<Radio>(kernel, medium, loc,
+                                             RadioParams{}));
+    medium.attach(radios.back().get());
+    return radios.back().get();
+  };
+  Radio* first = add(0);
+  add(1);
+  first->transmit(packet_from(0));
+  kernel.run_to_completion();
+  Radio* late = add(4);
+  int late_got = 0;
+  late->on_receive = [&](const Packet&) { ++late_got; };
+  first->transmit(packet_from(0));
+  kernel.run_to_completion();
+  late->transmit(packet_from(4));
+  kernel.run_to_completion();
+  ASSERT_EQ(ch.calls.size(), 3u);
+  EXPECT_EQ(ch.calls[0].rx, (std::vector<int>{1}));
+  EXPECT_EQ(ch.calls[1].rx, (std::vector<int>{1, 4}));
+  EXPECT_EQ(ch.calls[2].tx, 4);
+  EXPECT_EQ(ch.calls[2].rx, (std::vector<int>{0, 1}));
+  EXPECT_EQ(late_got, 1);
+  EXPECT_THROW(add(1), ModelError);  // channel ids stay distinct
+}
+
+TEST(Decode, HandlerSeesItsPacketAcrossASameTimeTransmissionItHears) {
+  channel::PathLossMatrix m;
+  m.set_db(0, 1, 60.0);
+  m.set_db(0, 2, 150.0);  // radio 2 does not hear radio 0
+  m.set_db(1, 2, 60.0);
+  ThreeRadios w(m);
+  std::vector<std::pair<int, std::uint32_t>> got;
+  w.radio(1).on_receive = [&](const Packet& p) {
+    if (p.origin == 0) {
+      // Radio 1 is idle again, so it starts decoding this one at once.
+      Packet q = packet_from(2);
+      q.seq = 99;
+      w.radio(2).transmit(q);
+    }
+    got.emplace_back(p.origin, p.seq);
+  };
+  Packet p = packet_from(0);
+  p.seq = 7;
+  w.radio(0).transmit(p);
+  w.kernel.run_to_completion();
+  const std::vector<std::pair<int, std::uint32_t>> want = {{0, 7u}, {2, 99u}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(w.radio(1).stats().rx_ok, 2u);
 }
 
 }  // namespace
