@@ -27,9 +27,12 @@
 #                             from this tree's medians only when every
 #                             bench passes, and never lowers a committed
 #                             rate.
+#                             A REV whose bench predates its
+#                             hi-bench/v1 report gates nothing of it but
+#                             the exact rows.
 #   --only NAME[,NAME...]     runs just these benches (des_perf,
 #                             milp_perf, parallel, robust, fig3, pdrmin,
-#                             pareto), in either mode.
+#                             pareto, store), in either mode.
 #
 # Environment: HI_BENCH_TOLERANCE overrides the gate tolerance.
 # Benches: bench_des_perf (DES kernel + end-to-end sim + channel),
@@ -38,14 +41,16 @@
 # bench_robust_dse (multi-realization K sweep, robust Alg 1 vs
 # fast-ILP), bench_fig3_tradeoff (paper Fig. 3 scatter + arrows),
 # bench_optimal_vs_pdrmin (Sec. 4.2 PDRmin ladder),
-# bench_pareto_front (exhaustive vs ladder Pareto front).
+# bench_pareto_front (exhaustive vs ladder Pareto front),
+# bench_store_warmstart (cold vs warm Algorithm 1 through hi::store,
+# store CRC-32 and reopen rates).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 quick=0
 against=""
-only="des_perf,milp_perf,parallel,robust,fig3,pdrmin,pareto"
+only="des_perf,milp_perf,parallel,robust,fig3,pdrmin,pareto,store"
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) quick=1 ;;
@@ -58,7 +63,7 @@ done
 IFS=, read -r -a benches <<< "${only}"
 for name in "${benches[@]}"; do
   case "${name}" in
-    des_perf|milp_perf|parallel|robust|fig3|pdrmin|pareto) ;;
+    des_perf|milp_perf|parallel|robust|fig3|pdrmin|pareto|store) ;;
     *) echo "bench.sh: unknown bench ${name}" >&2; exit 2 ;;
   esac
 done
@@ -79,6 +84,7 @@ bench_bin() {
     fig3) echo bench_fig3_tradeoff ;;
     pdrmin) echo bench_optimal_vs_pdrmin ;;
     pareto) echo bench_pareto_front ;;
+    store) echo bench_store_warmstart ;;
     *) echo "bench_$1" ;;
   esac
 }
@@ -139,11 +145,12 @@ declare -A bench_env=(
   [fig3]=""
   [pdrmin]=""
   [pareto]=""
+  # The Tsim of e2e_bench's certify and requery stores.
+  [store]="HI_TSIM=5"
 )
-# Runs bench $1 from build tree $2 into report $3 and validates it.
+# Runs bench $1 from build tree $2 into report $3.
 run_bench() {
   env ${bench_env[$1]} "$2/bench/$(bench_bin "$1")" > "$3"
-  python3 scripts/bench_gate.py validate "$3"
 }
 
 status=0
@@ -158,7 +165,8 @@ for name in "${benches[@]}"; do
       parent_runs+=("${out_dir}/parent-${name}-${i}.json")
       change_runs+=("${out_dir}/change-${name}-${i}.json")
       # REV first in odd pairs, this tree first in even ones: the
-      # second run of a pair reads slower on some hosts.
+      # second run of a pair reads slower on some hosts.  The paired
+      # gate checks REV's reports (see the header on older benches).
       if (( i % 2 )); then
         run_bench "${name}" "${parent_tree}/build" "${parent_runs[-1]}"
         run_bench "${name}" "${build_dir}" "${change_runs[-1]}"
@@ -166,6 +174,7 @@ for name in "${benches[@]}"; do
         run_bench "${name}" "${build_dir}" "${change_runs[-1]}"
         run_bench "${name}" "${parent_tree}/build" "${parent_runs[-1]}"
       fi
+      python3 scripts/bench_gate.py validate "${change_runs[-1]}"
     done
     base_args=()
     [[ -f "${base}" ]] && base_args=(--base "${base}")
@@ -178,6 +187,7 @@ for name in "${benches[@]}"; do
   fi
   echo "==> running bench_${name}"
   run_bench "${name}" "${build_dir}" "${new}"
+  python3 scripts/bench_gate.py validate "${new}"
   if [[ -f "${base}" ]]; then
     if ! python3 scripts/bench_gate.py compare "${base}" "${new}" \
          --tolerance "${tolerance}"; then

@@ -29,7 +29,10 @@ Usage:
       change's first run with every value replaced by the median over
       the change's runs: the candidate baseline.  A rate row gated in
       BASE keeps BASE's value where that is better than the change's
-      median, so a refresh never lowers a committed rate.
+      median, so a refresh never lowers a committed rate.  Parent runs
+      that are not hi-bench/v1 documents at all (REV's bench predates
+      its report) contribute no rows: the change's rate rows are then
+      not gated, and its exact rows still are against BASE.
 
 Schema and workflow: DESIGN.md section 11; runner: scripts/bench.sh.
 Stdlib only — no third-party packages.
@@ -181,9 +184,16 @@ def medians(docs):
 def cmd_paired(args):
     parents = [load(p) for p in args.parent]
     changes = [load(c) for c in args.change]
-    for doc, path in zip(parents + changes, args.parent + args.change):
+    for doc, path in zip(changes, args.change):
         check_schema(doc, path)
     bench = changes[0]["bench"]
+    if all(isinstance(doc, dict) and "schema" in doc for doc in parents):
+        for doc, path in zip(parents, args.parent):
+            check_schema(doc, path)
+    else:
+        print(f"bench_gate: the parent's runs are not {SCHEMA} reports; "
+              f"its rows are not gated")
+        parents = [{"bench": bench, "metrics": []} for _ in parents]
     for doc, path in zip(parents + changes, args.parent + args.change):
         if doc["bench"] != bench:
             fail(f'bench mismatch: {path} is {doc["bench"]!r}, not {bench!r}')

@@ -3,8 +3,8 @@
 # UndefinedBehaviorSanitizer in sequence — the pre-merge confidence
 # sweep for the concurrency, memory-safety and defined-behaviour
 # guarantees the code comments promise — plus a
-# store-recovery fuzz sweep (hi::store corruption handling under ASan,
-# wider than the tier-1 smoke run).
+# store fuzz sweep (hi::store corruption handling and the CRC-32 oracle,
+# under ASan and UBSan, wider than the tier-1 smoke run).
 #
 #   scripts/check.sh [--extended] [extra ctest args...]
 #
@@ -53,13 +53,18 @@ run_suite thread "$@"
 run_suite undefined "$@"
 
 # Store-recovery fuzzing beyond the tier-1 smoke run: seeded torn-write /
-# bit-flip corruption against hi::store's recovery contract, under ASan
-# so any parsing overrun in the framing or codecs is caught outright.
-echo "==> address: fuzz_store recovery sweep"
+# bit-flip corruption against hi::store's recovery contract, plus the
+# CRC-32 oracle property (every length 0-1,100 at every start offset
+# 0-15 per seed), under ASan so any parsing overrun in the framing or
+# codecs is caught outright, and under UBSan for the word-wide CRC and
+# codec loads.
 fuzz_dir="$(mktemp -d)"
 trap 'rm -rf "${fuzz_dir}"' EXIT
-./build-address/tests/fuzz_store --seed 1 --scenarios 25 --trials 12 \
-                                 --dir "${fuzz_dir}"
+for sanitizer in address undefined; do
+  echo "==> ${sanitizer}: fuzz_store recovery + CRC-32 sweep"
+  "./build-${sanitizer}/tests/fuzz_store" --seed 1 --scenarios 25 \
+      --trials 12 --dir "${fuzz_dir}"
+done
 
 # Robustness property sweep beyond the tier-1 smoke run: the Γ>0
 # battery (Bertsimas–Sim counterpart differential, robust Alg 1 vs

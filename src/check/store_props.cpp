@@ -12,6 +12,7 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "dse/explorer.hpp"
+#include "store/record_log.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
 
@@ -36,6 +37,24 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, std::string_view data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// One byte through the reflected IEEE CRC-32 register, a bit at a
+/// time: the textbook definition, independent of any table.
+std::uint32_t crc32_bit_step(std::uint32_t c, std::uint8_t byte) {
+  c ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    c = (c & 1) != 0 ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return c;
+}
+
+std::uint32_t crc32_oracle(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    c = crc32_bit_step(c, static_cast<std::uint8_t>(ch));
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 /// Canonical byte form of an evaluation — "bit-identical" made testable.
@@ -320,6 +339,57 @@ std::vector<std::string> check_store_recovery(std::uint64_t seed,
   if (out.empty()) {
     std::remove(trial_path.c_str());
     std::remove(base_path.c_str());
+  }
+  return out;
+}
+
+std::vector<std::string> check_crc32(std::uint64_t seed) {
+  std::vector<std::string> out;
+  struct Known {
+    std::string_view text;
+    std::uint32_t crc;
+  };
+  constexpr Known kKnown[] = {
+      {"", 0x00000000u},
+      {"a", 0xE8B7BE43u},
+      {"abc", 0x352441C2u},
+      {"123456789", 0xCBF43926u},  // the standard check value
+      {"The quick brown fox jumps over the lazy dog", 0x414FA339u},
+  };
+  for (const Known& k : kKnown) {
+    if (crc32_oracle(k.text) != k.crc) {
+      fail(out, "CRC oracle gives ", crc32_oracle(k.text), " for \"", k.text,
+           "\", want ", k.crc);
+    }
+    if (store::crc32(k.text) != k.crc) {
+      fail(out, "store::crc32 gives ", store::crc32(k.text), " for \"",
+           k.text, "\", want ", k.crc);
+    }
+  }
+
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kOffsets = 16;
+  Rng rng = Rng{seed}.fork("check.store.crc32");
+  std::string buf(kOffsets + kMaxLen, '\0');
+  for (char& ch : buf) {
+    ch = static_cast<char>(rng.next_u64());
+  }
+  // The oracle runs once per offset and is finalised at every length.
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        reg = crc32_bit_step(reg,
+                             static_cast<std::uint8_t>(buf[off + len - 1]));
+      }
+      const std::uint32_t want = reg ^ 0xFFFFFFFFu;
+      const std::uint32_t got = store::crc32({buf.data() + off, len});
+      if (got != want) {
+        fail(out, "store::crc32 at offset ", off, " length ", len, " gives ",
+             got, ", the bitwise oracle ", want);
+        if (out.size() >= 8) return out;  // enough to diagnose
+      }
+    }
   }
   return out;
 }

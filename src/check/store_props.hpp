@@ -1,6 +1,6 @@
 // hi-opt: durability properties for hi::store (DESIGN.md §10).
 //
-// Three checks, same contract as properties.hpp (a list of violations;
+// Four checks, same contract as properties.hpp (a list of violations;
 // empty = the property held):
 //
 //   round-trip     scenario → JSON → scenario is a fingerprint-preserving
@@ -18,6 +18,10 @@
 //                  reader, never surface an evaluation that differs from
 //                  what was stored, and always leave a compactable file
 //                  that audits clean afterwards.
+//   CRC-32         store::crc32, the checksum every frame carries,
+//                  equals a plain bit-at-a-time CRC-32 (no table) at
+//                  every length and start alignment its word-wide
+//                  fast path can meet, and the published check values.
 #pragma once
 
 #include <cstdint>
@@ -47,5 +51,10 @@ namespace hi::check {
 /// file comment for the properties enforced.
 [[nodiscard]] std::vector<std::string> check_store_recovery(
     std::uint64_t seed, const std::string& scratch_dir, int trials = 8);
+
+/// store::crc32 against the bit-at-a-time oracle on a random buffer
+/// drawn from `seed`: every length 0-1,100 at every start offset 0-15,
+/// plus the IEEE 802.3 check values; see the file comment.
+[[nodiscard]] std::vector<std::string> check_crc32(std::uint64_t seed);
 
 }  // namespace hi::check

@@ -32,37 +32,72 @@ void store_u32(char* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
 static_assert(std::endian::native == std::endian::little,
               "record log assumes a little-endian host");
 
-/// Reads the whole file; short reads only at EOF.
+/// Reads the whole file into one buffer sized by fstat(2).  The buffer
+/// has one byte of slack, so the read that finds EOF needs no second
+/// buffer; a file that grew since the fstat (a writer appending while a
+/// read-only scan runs) is read to its new end.  Short reads happen only
+/// at EOF.
 std::vector<char> read_all(int fd) {
-  std::vector<char> buf;
-  char chunk[1 << 16];
+  struct stat st {};
+  HI_REQUIRE(::fstat(fd, &st) == 0,
+             "record log stat failed: " << std::strerror(errno));
+  std::vector<char> buf(static_cast<std::size_t>(st.st_size) + 1);
+  std::size_t have = 0;
   while (true) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (have == buf.size()) {
+      buf.resize(2 * buf.size());  // the file grew while we read it
+    }
+    const ssize_t n = ::read(fd, buf.data() + have, buf.size() - have);
     HI_REQUIRE(n >= 0, "record log read failed: " << std::strerror(errno));
     if (n == 0) break;
-    buf.insert(buf.end(), chunk, chunk + n);
+    have += static_cast<std::size_t>(n);
   }
+  buf.resize(have);
   return buf;
 }
+
+/// Slicing-by-8 tables for the IEEE CRC-32 (reflected polynomial
+/// 0xEDB88320): kCrcTables[0] is the classic bytewise table, and
+/// kCrcTables[k][b] advances byte b's contribution past k more zero
+/// bytes, so one step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  // Table-driven CRC-32 (IEEE, reflected); the table is built once.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const CrcTables& t = kCrcTables;
+  const char* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (char ch : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xFF] ^ (c >> 8);
+  // Two little-endian words per step; the first absorbs the running CRC.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32(p) ^ c;
+    const std::uint32_t hi = load_u32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {  // the last n < 8 bytes
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

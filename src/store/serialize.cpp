@@ -131,20 +131,23 @@ std::string Digest::hex() const {
 
 // --- ByteWriter / ByteReader -------------------------------------------
 
-void ByteWriter::put_u16(std::uint16_t v) {
-  put_u8(static_cast<std::uint8_t>(v));
-  put_u8(static_cast<std::uint8_t>(v >> 8));
+// Words travel little-endian, which on a little-endian host is their
+// memory image: each put appends, and each get copies, one whole word.
+static_assert(std::endian::native == std::endian::little,
+              "the byte codec assumes a little-endian host");
+
+template <typename T>
+void ByteWriter::put_word(T v) {
+  char bytes[sizeof v];
+  std::memcpy(bytes, &v, sizeof v);
+  buf_.append(bytes, sizeof v);
 }
 
-void ByteWriter::put_u32(std::uint32_t v) {
-  put_u16(static_cast<std::uint16_t>(v));
-  put_u16(static_cast<std::uint16_t>(v >> 16));
-}
+void ByteWriter::put_u16(std::uint16_t v) { put_word(v); }
 
-void ByteWriter::put_u64(std::uint64_t v) {
-  put_u32(static_cast<std::uint32_t>(v));
-  put_u32(static_cast<std::uint32_t>(v >> 32));
-}
+void ByteWriter::put_u32(std::uint32_t v) { put_word(v); }
+
+void ByteWriter::put_u64(std::uint64_t v) { put_word(v); }
 
 void ByteWriter::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -170,36 +173,20 @@ std::uint8_t ByteReader::get_u8() {
   return static_cast<std::uint8_t>(data_[pos_++]);
 }
 
-std::uint16_t ByteReader::get_u16() {
-  if (!take(2)) return 0;  // whole-width bounds check: fail -> exactly 0
-  std::uint16_t v = 0;
-  for (int i = 1; i >= 0; --i) {
-    v = static_cast<std::uint16_t>((v << 8) |
-                                   static_cast<std::uint8_t>(data_[pos_ + i]));
-  }
-  pos_ += 2;
+template <typename T>
+T ByteReader::get_word() {
+  if (!take(sizeof(T))) return 0;  // whole-width bounds check: fail -> 0
+  T v;
+  std::memcpy(&v, data_.data() + pos_, sizeof v);
+  pos_ += sizeof v;
   return v;
 }
 
-std::uint32_t ByteReader::get_u32() {
-  if (!take(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(data_[pos_ + i]);
-  }
-  pos_ += 4;
-  return v;
-}
+std::uint16_t ByteReader::get_u16() { return get_word<std::uint16_t>(); }
 
-std::uint64_t ByteReader::get_u64() {
-  if (!take(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(data_[pos_ + i]);
-  }
-  pos_ += 8;
-  return v;
-}
+std::uint32_t ByteReader::get_u32() { return get_word<std::uint32_t>(); }
+
+std::uint64_t ByteReader::get_u64() { return get_word<std::uint64_t>(); }
 
 double ByteReader::get_f64() { return std::bit_cast<double>(get_u64()); }
 

@@ -87,6 +87,9 @@ class ByteWriter {
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void put_word(T v);
+
   std::string buf_;
 };
 
@@ -118,6 +121,8 @@ class ByteReader {
 
  private:
   [[nodiscard]] bool take(std::size_t n);
+  template <typename T>
+  [[nodiscard]] T get_word();
 
   std::string_view data_;
   std::size_t pos_ = 0;

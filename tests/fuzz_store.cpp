@@ -1,5 +1,6 @@
 // fuzz_store — seeded random corruption of hi::store logs (plus the
-// scenario JSON round-trip property) as a standalone binary.  Each seed
+// scenario JSON round-trip and CRC-32 oracle properties) as a
+// standalone binary.  Each seed
 // fabricates a store from a generated scenario, then mutilates copies of
 // it (truncations, bit flips, garbage tails) and asserts the recovery
 // contract: never crash, never serve altered data, always compact back
@@ -66,6 +67,8 @@ int main(int argc, char** argv) {
         hi::check::check_scenario_roundtrip(
             hi::check::make_scenario(s).scenario);
     violations.insert(violations.end(), roundtrip.begin(), roundtrip.end());
+    const std::vector<std::string> crc = hi::check::check_crc32(s);
+    violations.insert(violations.end(), crc.begin(), crc.end());
     if (!violations.empty()) {
       ++failures;
       std::cout << "seed " << s << ": " << violations.size()

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "check/store_props.hpp"
 #include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "store/record_log.hpp"
@@ -76,6 +77,16 @@ TEST(RecordLog, Crc32KnownVector) {
   // The canonical IEEE 802.3 check value.
   EXPECT_EQ(store::crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(store::crc32(""), 0u);
+}
+
+// The word-wide CRC against a bit-at-a-time oracle at every length and
+// start alignment (hi::check::check_crc32).
+TEST(RecordLog, Crc32MatchesBitwiseOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<std::string> violations = check::check_crc32(seed);
+    EXPECT_TRUE(violations.empty())
+        << "seed " << seed << ": " << violations.front();
+  }
 }
 
 TEST(RecordLog, AppendAndReopenRoundTrip) {
@@ -307,6 +318,47 @@ TEST(EvalStoreCompaction, DropsCorruptionAndSupersededRecords) {
   EXPECT_EQ(st.cell_count(), 1u);
   EXPECT_NE(st.find(fp, cfg_a), nullptr);
   EXPECT_NE(st.find(fp, cfg_b), nullptr);
+  std::remove(path.c_str());
+}
+
+// The store's exact file image for a fixed two-record store (one
+// evaluation, one cell checkpoint), pinned by length and SHA-256: any
+// change to the frame layout, the CRC, the codecs' byte order or field
+// order shows up here, not only in a round trip that both sides agree on.
+TEST(EvalStore, FileBytesArePinned) {
+  const std::string path = temp_path("pinned");
+  std::remove(path.c_str());
+  const store::Digest fp = store::sha256("pinned settings");
+  model::NetworkConfig cfg;
+  cfg.topology = model::Topology::from_mask(0b1011);
+  cfg.tx_level_index = 2;
+  dse::Evaluation ev;
+  ev.pdr = 0.875;
+  ev.power_mw = 1.0 / 3.0;
+  ev.nlt_s = -1234.5;
+  ev.detail.events = 0x0102030405060708ull;
+  ev.detail.medium.transmissions = 77;
+  ev.detail.nodes.resize(2);
+  ev.detail.nodes[0].location = 0;
+  ev.detail.nodes[0].pdr = 0.5;
+  ev.detail.nodes[1].location = 3;
+  ev.detail.nodes[1].mac.backoffs = 0xFFFFFFFFFFull;
+  store::CellResult res;
+  res.feasible = true;
+  res.best = cfg;
+  res.best_power_mw = 2.25;
+  res.simulations = 1320;
+  res.iterations = -7;
+  {
+    store::EvalStore st(path, {});
+    ASSERT_TRUE(st.put(fp, cfg, ev));
+    st.put_cell({fp, store::sha256("scenario"), store::sha256("options"), 0.9},
+                res);
+  }
+  const std::string bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), 785u);
+  EXPECT_EQ(store::sha256(bytes).hex(),
+            "acc482b21012cc33ccb0d5d0c20bdc23b11cdf3ef12905a105c382d30dbcb79a");
   std::remove(path.c_str());
 }
 

@@ -75,6 +75,44 @@ TEST(StoreSerialize, ByteCodecRoundTripsPrimitives) {
   EXPECT_TRUE(r.at_end());
 }
 
+// The round trip above passes even if writer and reader both switch
+// byte order; literal byte strings pin the little-endian wire format.
+TEST(StoreSerialize, ByteCodecWireFormatIsLittleEndian) {
+  using namespace std::string_literals;
+  ByteWriter w;
+  w.put_u16(0xBEEF);
+  EXPECT_EQ(w.bytes(), "\xEF\xBE"s);
+  w = ByteWriter{};
+  w.put_u32(0xDEADBEEFu);
+  EXPECT_EQ(w.bytes(), "\xEF\xBE\xAD\xDE"s);
+  w = ByteWriter{};
+  w.put_u64(0x0123456789ABCDEFull);
+  EXPECT_EQ(w.bytes(), "\xEF\xCD\xAB\x89\x67\x45\x23\x01"s);
+  w = ByteWriter{};
+  w.put_i32(-42);
+  EXPECT_EQ(w.bytes(), "\xD6\xFF\xFF\xFF"s);
+  w = ByteWriter{};
+  w.put_f64(1.0);  // 0x3FF0000000000000
+  EXPECT_EQ(w.bytes(), "\0\0\0\0\0\0\xF0\x3F"s);
+  w = ByteWriter{};
+  w.put_f64(-2.5);  // 0xC004000000000000
+  EXPECT_EQ(w.bytes(), "\0\0\0\0\0\0\x04\xC0"s);
+
+  const std::string wire =
+      "\xEF\xBE"                          // u16
+      "\xEF\xBE\xAD\xDE"                  // u32
+      "\xEF\xCD\xAB\x89\x67\x45\x23\x01"  // u64
+      "\xD6\xFF\xFF\xFF"                  // i32
+      "\0\0\0\0\0\0\x04\xC0"s;           // f64
+  ByteReader r(wire);
+  EXPECT_EQ(r.get_u16(), 0xBEEF);
+  EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.get_i32(), -42);
+  EXPECT_EQ(r.get_f64(), -2.5);
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(StoreSerialize, ByteReaderFailureIsSticky) {
   ByteWriter w;
   w.put_u32(7);
