@@ -141,8 +141,10 @@ int main() {
   simplex_solve(rep, reps, 80, 40 / scale);
   milp_knapsack(rep, reps, 10, 200 / scale);
   milp_knapsack(rep, reps, 20, 40 / scale);
-  dse_milp_round(rep, reps, 100 / scale);
-  dse_milp_all_levels(rep, reps, 20 / scale);
+  // The DSE rows time at least ~50 ms in both modes: a window that
+  // short is still cheap, and long enough for the paired gate's 10 %.
+  dse_milp_round(rep, reps, 2000);
+  dse_milp_all_levels(rep, reps, 1000);
 
   rep.write(std::cout);
   return 0;

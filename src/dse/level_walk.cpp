@@ -89,6 +89,11 @@ ExplorationResult walk_explorer(ExplorerKind kind,
   walk.on_level = [&](const MilpRound& round,
                       const std::vector<RobustEvaluation>& revs,
                       const WalkResult& state) {
+    // Room for the whole level at once, still growing geometrically.
+    const std::size_t need = res.history.size() + revs.size();
+    if (need > res.history.capacity()) {
+      res.history.reserve(std::max(need, 2 * res.history.capacity()));
+    }
     for (std::size_t i = 0; i < revs.size(); ++i) {
       res.history.push_back(robust_record(round.candidates[i], revs[i]));
     }

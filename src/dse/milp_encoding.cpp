@@ -261,6 +261,17 @@ void MilpEncoding::add_power_cut_above(double level_mw) {
                                 level_mw + epsilon_mw_);
   model_.lp().set_bounds(pbar_var_, lower, lp::kInf);
   solver_.tighten(pbar_var_, lower, lp::kInf);
+  // Propagate the bound through pbar_def: an integral point carries
+  // y = 1 on exactly one cell, so a cell cheaper than the bound is
+  // excluded already and closing it removes no integer point.  Without
+  // it the relaxation meets the bound with a fractional mix of a cheaper
+  // and a dearer cell; with it the root's optimum is the next level.
+  for (const Cell& c : cells_) {
+    if (c.cost_mw < lower) {
+      model_.lp().set_bounds(c.y_var, 0.0, 0.0);
+      solver_.tighten(c.y_var, 0.0, 0.0);
+    }
+  }
 }
 
 std::vector<double> MilpEncoding::achievable_power_levels() const {

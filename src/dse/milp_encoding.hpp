@@ -26,9 +26,13 @@
 // Algorithm 1's Update step (line 11) is the cut  P̄ >= P̄* + ε, where ε
 // is half the smallest gap between distinct cell costs, which exactly
 // removes the current optimum level and nothing more.  The cut raises
-// P̄'s lower bound, so the model keeps its shape for the whole walk, and
-// the encoding's milp::Solver re-solves the previous round's root with
-// the dual simplex instead of starting cold.
+// P̄'s lower bound and closes (upper bound 0) every cell cheaper than
+// it: an integral point has one cell at y = 1, so those cells are
+// excluded already, and closing them keeps the LP relaxation tight at
+// the next level (DESIGN.md §5).  Only bounds change, so the model
+// keeps its shape for the whole walk, and the encoding's milp::Solver
+// re-solves the previous round's root with the dual simplex instead of
+// starting cold.
 #pragma once
 
 #include <vector>
@@ -74,7 +78,8 @@ class MilpEncoding {
                                    int max_solutions = 4096);
 
   /// The cut P̄ >= level + ε (Update step): raises P̄'s lower bound to
-  /// level + ε unless an earlier cut already put it higher.
+  /// level + ε unless an earlier cut already put it higher, and closes
+  /// every cell whose cost lies below that bound.
   void add_power_cut_above(double level_mw);
 
   /// The cut separation ε (half the smallest distinct-cost gap).

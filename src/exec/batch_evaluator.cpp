@@ -8,13 +8,10 @@
 namespace hi::exec {
 
 BatchEvaluator::BatchEvaluator(dse::Evaluator& eval, int threads)
-    : eval_(eval) {
+    : eval_(eval), threads_(threads) {
   HI_REQUIRE(threads >= 0,
              "BatchEvaluator: threads must be >= 0 (0 = serial), got "
                  << threads);
-  if (threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
 }
 
 std::vector<const dse::Evaluation*> BatchEvaluator::evaluate(
@@ -35,7 +32,7 @@ std::vector<const dse::Evaluation*> BatchEvaluator::evaluate(
   std::vector<const dse::Evaluation*> out;
   out.reserve(cfgs.size());
 
-  if (pool_ == nullptr) {
+  if (threads_ == 0) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const model::NetworkConfig& cfg : cfgs) {
       out.push_back(&eval_.evaluate(cfg));
@@ -59,6 +56,7 @@ std::vector<const dse::Evaluation*> BatchEvaluator::evaluate(
         }
         continue;
       }
+      if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
       std::shared_future<dse::Evaluation> fut =
           pool_->submit([this, cfg] { return eval_.simulate_uncached(cfg); })
               .share();

@@ -23,7 +23,10 @@
 //
 // threads == 0 is the serial fallback: no pool, evaluation happens
 // inline in request order (still under the mutex, so mixed serial /
-// parallel use from multiple callers stays safe).
+// parallel use from multiple callers stays safe).  With threads >= 1
+// the pool starts, under the same mutex, when a batch first has a
+// design to simulate, so a walk served wholly from the cache starts no
+// thread.
 //
 // A failed simulation is reproduced serially at commit time, in request
 // order: the caller sees the same exception, after the same counter and
@@ -50,9 +53,10 @@ namespace hi::exec {
 /// See file comment.
 class BatchEvaluator {
  public:
-  /// `threads` == 0 evaluates serially (no pool); >= 1 spawns a pool
-  /// that wide.  The evaluator must outlive the BatchEvaluator and must
-  /// not be used directly while a batch call is in flight.
+  /// `threads` == 0 evaluates serially (no pool); >= 1 evaluates on a
+  /// pool that wide, started by the first batch that simulates.  The
+  /// evaluator must outlive the BatchEvaluator and must not be used
+  /// directly while a batch call is in flight.
   BatchEvaluator(dse::Evaluator& eval, int threads);
 
   /// Evaluates every configuration of the batch and returns pointers
@@ -62,15 +66,14 @@ class BatchEvaluator {
   std::vector<const dse::Evaluation*> evaluate(
       const std::vector<model::NetworkConfig>& cfgs);
 
-  /// Pool width; 0 in serial mode.
-  [[nodiscard]] int threads() const {
-    return pool_ != nullptr ? pool_->size() : 0;
-  }
+  /// Pool width, whether or not the pool has started; 0 in serial mode.
+  [[nodiscard]] int threads() const { return threads_; }
 
  private:
   dse::Evaluator& eval_;
-  std::unique_ptr<ThreadPool> pool_;  ///< null in serial mode
-  std::mutex mu_;  ///< guards eval_ and computed_
+  int threads_;    ///< configured pool width; 0 = serial
+  std::mutex mu_;  ///< guards eval_, pool_ and computed_
+  std::unique_ptr<ThreadPool> pool_;  ///< null until the first simulation
   /// Results computed (or being computed) by the pool, not yet committed
   /// into the evaluator cache; entries are erased on commit.
   std::unordered_map<std::uint64_t, std::shared_future<dse::Evaluation>>

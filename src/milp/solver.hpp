@@ -11,8 +11,9 @@
 //     last optimal root, and the next solve re-solves that root with the
 //     dual simplex instead of building the tableau again.  Algorithm 1's
 //     Update step raises the lower bound of the encoding's power column
-//     this way (dse/milp_encoding.hpp).  Only the first solve, and any
-//     solve after a non-optimal root, starts cold from the model.
+//     and closes the cells below it this way (dse/milp_encoding.hpp).
+//     Only the first solve, and any solve after a non-optimal root,
+//     starts cold from the model.
 //   - Pending siblings live in retained slots (copy-assigned into an
 //     existing slot, swapped in on pop), so repeated solves allocate no
 //     tableaux.

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -100,6 +102,30 @@ TEST(BatchEvaluator, RejectsNegativeThreads) {
   auto channels = std::make_shared<std::atomic<int>>(0);
   dse::Evaluator eval(counting_settings(channels));
   EXPECT_THROW((BatchEvaluator{eval, -1}), ModelError);
+}
+
+/// Threads of this process right now.
+std::ptrdiff_t live_threads() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(BatchEvaluator, StartsItsPoolOnlyWhenADesignMustBeSimulated) {
+  auto channels = std::make_shared<std::atomic<int>>(0);
+  dse::Evaluator eval(counting_settings(channels));
+  const std::vector<model::NetworkConfig> cached{exec_config(0)};
+  (void)eval.evaluate(cached.front());
+  const std::ptrdiff_t before = live_threads();
+  BatchEvaluator batch(eval, 2);
+  EXPECT_EQ(batch.threads(), 2);
+  (void)batch.evaluate(cached);  // a cache hit: nothing to simulate
+  EXPECT_EQ(live_threads(), before);
+  EXPECT_EQ(channels->load(), 1);
+  (void)batch.evaluate({exec_config(1)});
+  // At least: a sanitizer runtime may start a helper thread of its own.
+  EXPECT_GE(live_threads(), before + 2);
+  EXPECT_EQ(batch.threads(), 2);
+  EXPECT_EQ(channels->load(), 2);
 }
 
 TEST(BatchEvaluator, InFlightDedupConcurrentRequestsForOneKey) {

@@ -263,6 +263,52 @@ TEST(MilpEncoding, WarmWalkMatchesFreshEncodingsRoundByRound) {
   }
 }
 
+TEST(MilpEncoding, EveryWalkRoundSolvesAtTheRoot) {
+  // The cut closes every cell cheaper than P̄'s new bound, so the root
+  // relaxation's optimum is the next level on an integral cell and no
+  // round branches.  Pinned to the paper scenario: two cells of equal
+  // cost could legitimately leave a fractional root.
+  for (const int gamma : {0, 1, 2}) {
+    for (const int max_nodes : {4, 6, 10}) {
+      model::Scenario sc;
+      sc.max_nodes = max_nodes;
+      MilpEncoding enc(sc, gamma);
+      const std::size_t levels = enc.achievable_power_levels().size();
+      std::size_t rounds = 0;
+      for (;; ++rounds) {
+        SCOPED_TRACE(::testing::Message() << "gamma " << gamma << " max_nodes "
+                                          << max_nodes << " round " << rounds);
+        ASSERT_LE(rounds, levels);
+        const MilpRound r = enc.run_milp();
+        if (r.status != lp::Status::kOptimal) break;
+        EXPECT_EQ(r.bnb_nodes, 1);
+        enc.add_power_cut_above(r.power_mw);
+      }
+      EXPECT_EQ(rounds, levels);
+    }
+  }
+}
+
+TEST(MilpEncoding, CutLeavesTheRelaxationTightAtTheNextLevel) {
+  // After each cut the LP relaxation of the model (integrality dropped)
+  // already has the next achievable level as its optimum.
+  for (const int gamma : {0, 2}) {
+    model::Scenario sc;
+    MilpEncoding enc(sc, gamma);
+    const std::vector<double> levels = enc.achievable_power_levels();
+    for (std::size_t i = 0; i + 1 < levels.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "gamma " << gamma << " cut " << i);
+      enc.add_power_cut_above(levels[i]);
+      const lp::Solution relaxed = lp::solve_simplex(enc.model().lp());
+      ASSERT_EQ(relaxed.status, lp::Status::kOptimal);
+      EXPECT_NEAR(relaxed.objective, levels[i + 1], enc.epsilon_mw() / 2.0);
+    }
+    enc.add_power_cut_above(levels.back());
+    EXPECT_EQ(lp::solve_simplex(enc.model().lp()).status,
+              lp::Status::kInfeasible);
+  }
+}
+
 TEST(MilpEncoding, AchievableLevelsAreSortedDistinct) {
   model::Scenario sc;
   MilpEncoding enc(sc);
